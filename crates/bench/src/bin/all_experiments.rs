@@ -5,8 +5,6 @@
 //! Heavy experiments (fig06 ground-truth simulation, table02 timing) run
 //! last; pass `--fast` to skip them.
 
-#![forbid(unsafe_code)]
-
 use std::process::Command;
 
 fn main() {

@@ -10,8 +10,6 @@
 //! equal reduction widths, so every expensive column-sum statistic is
 //! computed once and reused across the two sweeps.
 
-#![forbid(unsafe_code)]
-
 use std::sync::Arc;
 
 use cimloop_bench::{explore_collect, fmt, frozen, ExperimentTable};

@@ -10,8 +10,6 @@
 //! The four corners are the {128, 512}×{1, 4} design grid, evaluated
 //! through the DSE explorer at system scope.
 
-#![forbid(unsafe_code)]
-
 use cimloop_bench::{explore_collect, fmt, frozen, ExperimentTable};
 use cimloop_dse::{DesignSpace, EvalScope, Explorer};
 use cimloop_macros::{macro_c, OutputCombine};

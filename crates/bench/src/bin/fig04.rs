@@ -7,8 +7,6 @@
 //! layer (unsigned sparse inputs) and a transformer layer (signed dense
 //! inputs). Values normalized to the smallest bar.
 
-#![forbid(unsafe_code)]
-
 use cimloop_bench::{fmt, ExperimentTable};
 use cimloop_circuits::dac::{CapacitiveDac, CurrentDac};
 use cimloop_circuits::{ComponentModel, ValueContext};

@@ -7,8 +7,6 @@
 //! per-layer distributions; the fixed-energy baseline uses one table from
 //! distributions averaged over all layers.
 
-#![forbid(unsafe_code)]
-
 use cimloop_bench::{pct, ExperimentTable};
 use cimloop_macros::base_macro;
 use cimloop_sim::{fixed_energy_table, simulate_layer, ExactConfig};

@@ -1,8 +1,6 @@
 //! Fig 7: validating energy efficiency and throughput across supply
 //! voltages for Macros A, B (small/large data values), and D.
 
-#![forbid(unsafe_code)]
-
 use cimloop_bench::{fmt, pct, rel_err, ExperimentTable};
 use cimloop_macros::{macro_a, macro_b, macro_d, reference, ArrayMacro};
 use cimloop_workload::{models, Layer, ValueProfile};

@@ -1,8 +1,6 @@
 //! Fig 8: validating energy efficiency and throughput across the number of
 //! input bits for Macros B and C.
 
-#![forbid(unsafe_code)]
-
 use cimloop_bench::{fmt, pct, rel_err, ExperimentTable};
 use cimloop_macros::{macro_b, macro_c, reference, ArrayMacro};
 use cimloop_workload::models;

@@ -6,8 +6,6 @@
 //! Macro C is folded into "Control" (the reference groups array access
 //! under control/misc), and the buffer is excluded (system-level).
 
-#![forbid(unsafe_code)]
-
 use cimloop_bench::{pct, ExperimentTable};
 use cimloop_macros::{category, macro_c, macro_d, reference};
 use cimloop_workload::models;

@@ -17,8 +17,6 @@
 //!   (worst-layer SNR over a ResNet18 prefix at two variation levels).
 //! - `quick`: the golden grid only (what CI's golden job runs).
 
-#![forbid(unsafe_code)]
-
 use cimloop_bench::{noise_accuracy_rows, ExperimentTable, NOISE_ADC_BITS, NOISE_VARIATIONS};
 use cimloop_core::NoiseSpec;
 use cimloop_macros::base_macro;

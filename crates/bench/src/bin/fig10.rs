@@ -4,8 +4,6 @@
 //! from each publication; model components are grouped onto the closest
 //! reference category.
 
-#![forbid(unsafe_code)]
-
 use cimloop_bench::ExperimentTable;
 use cimloop_macros::{macro_a, macro_b, macro_c, macro_d, reference, ArrayMacro};
 

@@ -3,8 +3,6 @@
 //! analog adder charges/discharges larger analog values (published swing:
 //! 2.3×).
 
-#![forbid(unsafe_code)]
-
 use cimloop_bench::{fmt, pct, rel_err, ExperimentTable};
 use cimloop_macros::{macro_b, reference};
 use cimloop_workload::{models, ValueProfile};

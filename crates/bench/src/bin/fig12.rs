@@ -3,8 +3,6 @@
 //! constrains the mapping — for ResNet18's 3×3 kernels, three-column reuse
 //! achieves uniquely high-utilization mappings.
 
-#![forbid(unsafe_code)]
-
 use cimloop_bench::{fmt, frozen, ExperimentTable};
 use cimloop_core::RunReport;
 use cimloop_macros::{macro_a, OutputCombine};

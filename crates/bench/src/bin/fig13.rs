@@ -3,8 +3,6 @@
 //! weights have enough bits to fill their operands, but sit underutilized
 //! (and waste area) with fewer-bit weights.
 
-#![forbid(unsafe_code)]
-
 use cimloop_bench::{fmt, frozen, ExperimentTable};
 use cimloop_macros::{macro_b, OutputCombine};
 use cimloop_workload::models;

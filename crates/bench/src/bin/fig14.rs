@@ -2,8 +2,6 @@
 //! summation energy — if the workload's tensors are large enough to
 //! utilize them. Small-tensor workloads prefer smaller arrays.
 
-#![forbid(unsafe_code)]
-
 use cimloop_bench::{fmt, frozen, ExperimentTable};
 use cimloop_macros::macro_c;
 use cimloop_workload::models;

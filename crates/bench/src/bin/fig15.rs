@@ -2,8 +2,6 @@
 //! energy, but the benefit is bounded by off-chip input/output movement;
 //! keeping I/O on-chip (layer fusion) unlocks the rest.
 
-#![forbid(unsafe_code)]
-
 use cimloop_bench::{fmt, ExperimentTable};
 use cimloop_macros::macro_d;
 use cimloop_system::{CimSystem, StorageScenario};

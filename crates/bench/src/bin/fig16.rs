@@ -3,8 +3,6 @@
 //! precisions. Macro A's 1-bit strategy wins at few-bit operands; Macro
 //! B/D's multi-bit analog components win at more-bit operands.
 
-#![forbid(unsafe_code)]
-
 use cimloop_bench::{fmt, ExperimentTable};
 use cimloop_macros::{macro_a, macro_b, macro_d, ArrayMacro};
 use cimloop_workload::models;

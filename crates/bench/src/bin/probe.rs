@@ -1,8 +1,6 @@
 //! Development probe: per-component energy/area shares of each macro at
 //! its anchor operating point (used to tune per-component calibration).
 
-#![forbid(unsafe_code)]
-
 use cimloop_macros::{base_macro, macro_a, macro_b, macro_c, macro_d, ArrayMacro};
 use cimloop_workload::models;
 

@@ -1,8 +1,6 @@
 //! Table III: parameterized attributes of Macros A–D, echoed from the
 //! reference data against the built models.
 
-#![forbid(unsafe_code)]
-
 use cimloop_bench::ExperimentTable;
 use cimloop_macros::{macro_a, macro_b, macro_c, macro_d, reference, ArrayMacro};
 

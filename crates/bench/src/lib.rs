@@ -1,8 +1,6 @@
 //! Shared harness utilities for the experiment binaries in `src/bin`
 //! (one per table/figure of the paper) and the criterion benches.
 
-#![forbid(unsafe_code)]
-#![warn(clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 use std::fs;

@@ -50,8 +50,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(clippy::dbg_macro)]
 #![warn(clippy::print_stderr)]
 #![warn(missing_docs)]
 

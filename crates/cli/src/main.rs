@@ -20,16 +20,12 @@
 //!                                              # resident evaluation daemon
 //! cimloop request  <addr> <spec>… [--out DIR] [--stats FILE]
 //!                  [--shutdown]                # client for a running daemon
-//! cimloop analyze  [ROOT] [--format text|json] [--baseline FILE]
-//!                  [--explain RULE]            # static analysis (cimloop-analyze)
 //! ```
 //!
 //! Scenario files ending in `.json` are decoded as the reflection-backed
 //! JSON interchange encoding; everything else parses as yamlite (the
 //! pinned frontend). `--format` overrides the extension; `cimloop
 //! request` sends `.json` files as `RUNJSON` frames.
-
-#![forbid(unsafe_code)]
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -51,8 +47,7 @@ const USAGE: &str =
        cimloop convert <spec>... [--to yamlite|json]
        cimloop diff <old.tsv|old-spec> <new.tsv|new-spec>
        cimloop serve <addr> [--once] [--workers N] [--queue-depth N] [--table-cap N] [--stats-cap N]
-       cimloop request <addr> <spec>... [--out DIR] [--stats FILE] [--shutdown]
-       cimloop analyze [ROOT] [--format text|json] [--out FILE] [--baseline FILE] [--write-baseline FILE] [--explain RULE]";
+       cimloop request <addr> <spec>... [--out DIR] [--stats FILE] [--shutdown]";
 
 /// Parses a `--format`/`--to` value.
 fn format_name(value: &str) -> Option<SpecFormat> {
@@ -99,7 +94,6 @@ fn main() -> ExitCode {
         "convert" => return convert_main(&rest),
         "diff" => return diff_main(&rest),
         "merge-fronts" => return merge_main(&rest),
-        "analyze" => return ExitCode::from(cimloop_analyze::run_cli(&rest)),
         _ => {}
     }
     let mut specs: Vec<PathBuf> = Vec::new();

@@ -76,7 +76,9 @@ fn encoding(name: &str) -> Result<Encoding, CliError> {
 ///
 /// # Errors
 ///
-/// Propagates parse, preset-lookup, import, and calibration errors.
+/// Propagates parse, preset-lookup, import, and calibration errors, and
+/// returns a parse error at the section's line when the final DAC or cell
+/// width is outside what a [`Representation`] accepts.
 pub fn architecture(doc: &ScenarioDoc, arch: &ArchitectureSpec) -> Result<ArrayMacro, CliError> {
     let s = &arch.settings;
     let view = ArchitectureSection::decode(s)?;
@@ -184,6 +186,22 @@ pub fn architecture(doc: &ScenarioDoc, arch: &ArchitectureSpec) -> Result<ArrayM
             m = m.with_noise(spec);
         }
     }
+
+    // Both the preset overrides and the inline import end here, and
+    // `ArrayMacro::representation` relies on its slice widths being valid.
+    // The check reads only the widths, so the encodings are placeholders.
+    Representation::new(
+        Encoding::TwosComplement,
+        Encoding::Offset,
+        m.dac_bits(),
+        m.cell_bits(),
+    )
+    .map_err(|e| {
+        CliError::Spec(SpecError::Parse {
+            line: s.line(),
+            message: format!("!Architecture: {e}"),
+        })
+    })?;
     Ok(m)
 }
 

@@ -14,8 +14,7 @@
 //! propagate every malformed-spec condition as a [`CliError`] — no
 //! panicking unwraps on spec-derived values.
 
-// The panic policy, enforced both by cimloop-analyze (P001) and clippy:
-// malformed specs surface as CliError, never as a panic.
+// The panic policy: malformed specs surface as CliError, never as a panic.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use cimloop_bench::{fmt, ExperimentTable};

@@ -12,6 +12,9 @@
 //! typo'd key fails with a line-numbered error naming the nearest valid
 //! field instead of silently falling back to a default.
 
+// The panic policy: a malformed spec is a line-numbered error, never a panic.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use cimloop_dse::SpaceSection;
 use cimloop_noise::NoiseSection;
 use cimloop_spec::reflect::nearest;

@@ -11,7 +11,7 @@ use cimloop_cli::{
 };
 use cimloop_dse::{DesignSpace, Explorer, Shard};
 use cimloop_macros::base_macro;
-use cimloop_spec::ScenarioDoc;
+use cimloop_spec::{ScenarioDoc, SpecError};
 use cimloop_workload::{Layer, LayerKind, Shape, Workload};
 
 fn repo_root() -> PathBuf {
@@ -541,4 +541,49 @@ fn malformed_spec_is_a_spec_error_not_a_panic() {
             }
         }
     }
+}
+
+#[test]
+fn slice_width_above_16_is_a_line_numbered_error_not_a_panic() {
+    // Regression: a cell wider than 16 bits reached the `expect` in
+    // `ArrayMacro::representation`, so `validate` and `evaluate` panicked.
+    // Both architecture paths, an inline component tree and a preset
+    // override, must fail at the `!Architecture` line instead.
+    let custom = std::fs::read_to_string(repo_root().join("examples/specs/custom_macro.yaml"))
+        .expect("committed spec exists");
+    let mut specs = vec!["!Scenario\nname: wide\nexperiment: evaluate\n\
+         !Architecture\nmacro: base\ncell_bits: 64\n\
+         !Workload\nname: tiny\n\
+         !Layer\nname: fc\nkind: linear\nn: 1\nk: 8\nc: 8\n"
+        .to_owned()];
+    for bits in [33, 64] {
+        let spec = custom.replacen("\nbits: 2\n", &format!("\nbits: {bits}\n"), 1);
+        assert_ne!(spec, custom, "the cell width must have been rewritten");
+        specs.push(spec);
+    }
+    for spec in &specs {
+        let line = 1 + spec
+            .lines()
+            .position(|l| l == "!Architecture")
+            .expect("spec has an !Architecture section");
+        let doc = ScenarioDoc::parse(spec).expect("spec parses");
+        let validated = validate_doc_with(&doc, &ValidateOptions::default()).map(|_| ());
+        let evaluated = run_scenario(&doc).map(|_| ());
+        for result in [validated, evaluated] {
+            match result {
+                Err(CliError::Spec(SpecError::Parse { line: at, message })) => {
+                    assert_eq!(at, line, "error must point at !Architecture: {message}");
+                    assert!(message.contains("cell_bits"), "{message}");
+                }
+                Err(other) => panic!("expected a line-numbered parse error, got {other}"),
+                Ok(()) => panic!("a 33+-bit cell must be rejected"),
+            }
+        }
+    }
+
+    // A width past u32 must not wrap around to a valid one (2^32 + 1 → 1).
+    let spec = custom.replacen("\nbits: 2\n", "\nbits: 4294967297\n", 1);
+    let doc = ScenarioDoc::parse(&spec).expect("spec parses");
+    let err = run_scenario(&doc).expect_err("an overflowing cell width must be rejected");
+    assert!(err.to_string().contains("4294967297"), "{err}");
 }

@@ -22,6 +22,13 @@
 //! computation is deterministic — it only changes timing. Counters for
 //! hits, misses, and evictions are exposed in a [`CacheStats`] snapshot.
 
+// The panic policy: a shared cache must not take a resident service down.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "the LevelInner map; see its field for why order is invisible"
+)]
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -256,7 +263,11 @@ struct Level<K, V> {
 
 #[derive(Debug)]
 struct LevelInner<K, V> {
-    // cimloop-analyze: allow(D001, reason = "lookup/entry only; eviction min-scans unique logical-clock stamps, so the victim is order-independent and iteration order never reaches results")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup/entry only; eviction min-scans unique logical-clock stamps, \
+                  so the victim is order-independent and iteration order never reaches results"
+    )]
     map: HashMap<K, Slot<V>>,
     capacity: usize,
     clock: u64,
@@ -269,10 +280,13 @@ struct Slot<V> {
 }
 
 impl<K: Eq + Hash + Clone, V> Level<K, V> {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "same map as the LevelInner field: keyed lookups plus an order-independent min-scan eviction"
+    )]
     fn new(capacity: usize) -> Self {
         Level {
             inner: Mutex::new(LevelInner {
-                // cimloop-analyze: allow(D001, reason = "same map as the LevelInner field: keyed lookups plus an order-independent min-scan eviction")
                 map: HashMap::new(),
                 capacity,
                 clock: 0,
@@ -695,6 +709,44 @@ mod tests {
             format!("{:?}", via_cache.sum()),
             "a retention-free cache still hands back the exact computation"
         );
+    }
+
+    #[test]
+    fn compute_runs_outside_the_level_lock() {
+        use std::sync::mpsc::{self, RecvTimeoutError};
+        use std::time::Duration;
+
+        // Each compute closure reads its own level. If a level ever computed
+        // while holding its lock, the read would deadlock; the worker thread
+        // turns that hang into a timeout.
+        let (done, finished) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let cache = EnergyTableCache::new();
+            let l = layer("l", 16);
+            let r = rep();
+            let sig = TableSignature::new(1, &l, &r, &NoiseSpec::ideal());
+            cache
+                .get_or_try_insert_with(sig, || {
+                    assert_eq!(cache.len(), 0);
+                    Ok(ActionEnergyTable::empty_for_tests())
+                })
+                .unwrap();
+            cache
+                .stats_or_try_insert_with(StatsSignature::new(64, &l, &r), || {
+                    assert_eq!(cache.stats_len(), 0);
+                    ValueStats::compute(&l, &r, 64)
+                })
+                .unwrap();
+            let _ = done.send((cache.len(), cache.stats_len()));
+        });
+        let lens = finished.recv_timeout(Duration::from_secs(10));
+        assert_ne!(
+            lens,
+            Err(RecvTimeoutError::Timeout),
+            "a compute closure deadlocked: the level computes under its lock"
+        );
+        worker.join().expect("the compute thread panicked");
+        assert_eq!(lens, Ok((1, 1)));
     }
 
     #[test]

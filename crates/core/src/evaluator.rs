@@ -8,6 +8,9 @@
 //! amortized per-action energies — and can be called for thousands of
 //! mappings (Table II's amortization).
 
+// The panic policy: evaluation errors are `CoreError`s, never panics.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;

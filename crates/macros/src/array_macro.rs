@@ -441,6 +441,16 @@ impl ArrayMacro {
         };
         let shape_err =
             |message: String| CoreError::Spec(cimloop_spec::SpecError::Parse { line: 0, message });
+        // A count attribute, at least 1, that must fit a `u32`.
+        let count = |node: &Component, key: &str, default: i64| -> Result<u32, CoreError> {
+            let value = node.attributes().int_or(key, default).max(1);
+            u32::try_from(value).map_err(|_| {
+                shape_err(format!(
+                    "`{}` attribute `{key}` is {value}, which does not fit in 32 bits",
+                    node.name()
+                ))
+            })
+        };
 
         let name = h
             .containers()
@@ -465,7 +475,7 @@ impl ArrayMacro {
         let (combine, cols) = if digital {
             (OutputCombine::None, column_fanout("column")?)
         } else if let Some(adder) = h.component("analog_adder") {
-            let operands = adder.attributes().int_or("operands", 1).max(1) as u32;
+            let operands = count(adder, "operands", 1)?;
             let groups = column_fanout("column_group")?;
             (
                 OutputCombine::AnalogAdder { operands },
@@ -485,8 +495,8 @@ impl ArrayMacro {
             (OutputCombine::None, column_fanout("column")?)
         };
 
-        let dac_bits = dac.attributes().int_or("resolution", 1).max(1) as u32;
-        let cell_bits = cell.attributes().int_or("bits", 1).max(1) as u32;
+        let dac_bits = count(dac, "resolution", 1)?;
+        let cell_bits = count(cell, "bits", 1)?;
         let mut noise = NoiseSpec::new()
             .with_cell_variation(cell.attributes().float_or("noise_variation_sigma", 0.0));
 
@@ -500,7 +510,7 @@ impl ArrayMacro {
         }
         if let Some(adc) = h.component("adc") {
             m = m.with_adc(
-                adc.attributes().int_or("resolution", 8).max(1) as u32,
+                count(adc, "resolution", 8)?,
                 adc.attributes().float_or("sample_rate", 100e6),
             );
             noise = noise

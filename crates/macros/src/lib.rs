@@ -42,8 +42,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(clippy::dbg_macro)]
 #![warn(clippy::print_stderr)]
 #![warn(missing_docs)]
 

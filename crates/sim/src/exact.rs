@@ -371,10 +371,6 @@ struct Geometry {
     reduction: u64,
     /// Independent analog outputs per activation (ADC converts per step).
     outputs: u64,
-    /// Distinct input rows driven per activation (documented; reduction
-    /// already folds grouping in).
-    #[allow(dead_code)]
-    rows: u64,
     /// Spatial weight-slice columns combined by the analog adder (1 if
     /// none).
     ws_columns: u64,
@@ -433,7 +429,6 @@ impl Geometry {
         Ok(Geometry {
             reduction,
             outputs,
-            rows,
             ws_columns,
             accumulate_depth,
             input_slice_count: rep

@@ -82,6 +82,15 @@ fn multithreaded_sim_matches_single_thread_statistically() {
         simulate_layer(&m, layer, &ExactConfig::fast().with_seed(7).with_threads(4)).unwrap();
     let diff = (single.energy_total() - multi.energy_total()).abs() / single.energy_total();
     assert!(diff < 0.10, "thread split changed estimate by {diff:.3}");
+    // The per-thread partials merge in thread order, so a repeat at the same
+    // thread count is bit-identical, not merely close.
+    let again =
+        simulate_layer(&m, layer, &ExactConfig::fast().with_seed(7).with_threads(4)).unwrap();
+    assert_eq!(
+        multi.energy_total().to_bits(),
+        again.energy_total().to_bits()
+    );
+    assert_eq!(multi.cell_events(), again.cell_events());
 }
 
 #[test]

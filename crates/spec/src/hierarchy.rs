@@ -1,4 +1,4 @@
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use crate::{Component, Container, Node, SpecError, Tensor};
 
@@ -43,7 +43,7 @@ impl Hierarchy {
         if !nodes.iter().any(|n| n.as_component().is_some()) {
             return Err(SpecError::Empty);
         }
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for node in &nodes {
             node.validate()?;
             if !seen.insert(node.name().to_owned()) {

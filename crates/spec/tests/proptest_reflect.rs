@@ -64,7 +64,7 @@ fn arb_entry() -> BoxedStrategy<(String, EntryShape)> {
 }
 
 fn dedup_keys<V>(pairs: Vec<(String, V)>) -> Vec<(String, V)> {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     pairs
         .into_iter()
         .filter(|(k, _)| seen.insert(k.clone()))
@@ -104,7 +104,7 @@ fn arb_document() -> BoxedStrategy<String> {
             for (key, shape) in &scenario_entries {
                 text.push_str(&entry_text(key, shape));
             }
-            let mut used = std::collections::HashSet::new();
+            let mut used = std::collections::BTreeSet::new();
             for (tag, entries) in &sections {
                 if !used.insert(*tag) {
                     continue; // duplicate plain tags would merge on lookup

@@ -27,8 +27,6 @@
 //! assert!(k < 1.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(clippy::dbg_macro)]
 #![warn(clippy::print_stderr)]
 #![warn(missing_docs)]
 

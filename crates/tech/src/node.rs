@@ -6,7 +6,10 @@ use crate::TechError;
 /// 65 nm Macro A, 7 nm Macro B, 130 nm Macro C, 22 nm Macro D) plus the
 /// intermediate nodes needed for scaling studies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "each variant is the node its name spells, in nanometres"
+)]
 pub enum TechNode {
     N180,
     N130,

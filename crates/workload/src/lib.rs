@@ -31,8 +31,6 @@
 //! assert!(total_macs > 1_000_000_000); // ~1.8 GMACs for ResNet18
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(clippy::dbg_macro)]
 #![warn(clippy::print_stderr)]
 #![warn(missing_docs)]
 
