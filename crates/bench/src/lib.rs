@@ -189,65 +189,15 @@ pub fn diff_tsv(old: &str, new: &str) -> String {
 /// system around the macro; weights re-fetched from DRAM).
 pub const FIG2_SCENARIO: StorageScenario = StorageScenario::AllTensorsFromDram;
 
-/// The cell-variation sigmas of the `fig09_noise` accuracy experiment
+/// The cell-variation sigmas of the `fig_mc_accuracy` validation grid,
+/// the same levels `examples/specs/fig09_noise.yaml` sweeps
 /// (0 = ideal programming; 0.20 = poorly-programmed NVM).
 pub const NOISE_VARIATIONS: [f64; 4] = [0.0, 0.05, 0.10, 0.20];
 
-/// The ADC resolutions of the `fig09_noise` accuracy experiment.
-pub const NOISE_ADC_BITS: [u32; 5] = [12, 10, 8, 6, 4];
-
-/// One cell of the `fig09_noise` accuracy grid: the expected output SNR
-/// and effective bit-count of one macro configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NoiseAccuracyRow {
-    /// Relative cell programming-variation sigma.
-    pub variation: f64,
-    /// Output ADC resolution, bits.
-    pub adc_bits: u32,
-    /// Expected output SNR, dB.
-    pub snr_db: f64,
-    /// Effective number of bits.
-    pub enob: f64,
-}
-
-/// The `fig09_noise` experiment grid: accuracy (expected output SNR /
-/// ENOB) versus ADC resolution under several cell-variation levels, on
-/// the 256×256 ReRAM base macro driving a matched matrix-vector
-/// workload. Deterministic — the statistical noise model never samples —
-/// so the resulting TSV is a golden. Shared by the experiment binary and
-/// the trend-assertion test so both always describe the same experiment.
-pub fn noise_accuracy_rows() -> Vec<NoiseAccuracyRow> {
-    let cache = EnergyTableCache::new();
-    let mut rows = Vec::new();
-    for &variation in &NOISE_VARIATIONS {
-        for &adc_bits in &NOISE_ADC_BITS {
-            let m = base_macro()
-                .uncalibrated()
-                .with_array(256, 256)
-                .with_adc_bits(adc_bits)
-                .with_noise(NoiseSpec::new().with_cell_variation(variation));
-            let evaluator = m.evaluator().expect("evaluator");
-            let layer = models::mvm(m.rows(), m.cols()).layers()[0].clone();
-            let report = evaluator
-                .evaluate_layer_cached(&layer, &m.representation(), &cache)
-                .expect("evaluation");
-            let noise = report
-                .noise()
-                .expect("analog readout always carries a noise report");
-            rows.push(NoiseAccuracyRow {
-                variation,
-                adc_bits,
-                snr_db: noise.snr_db,
-                enob: noise.enob,
-            });
-        }
-    }
-    rows
-}
-
 /// The ADC resolutions of the `fig_mc_accuracy` validation grid (a
-/// subset of [`NOISE_ADC_BITS`]: the MC engine resamples every cell, so
-/// the grid trades breadth for trials).
+/// subset of the `adc_bits` axis of `examples/specs/fig09_noise.yaml`:
+/// the MC engine resamples every cell, so the grid trades breadth for
+/// trials).
 pub const MC_ACCURACY_ADC_BITS: [u32; 2] = [8, 6];
 
 /// Monte-Carlo trials per `fig_mc_accuracy` grid cell — enough for
@@ -441,52 +391,16 @@ pub fn explore_collect(
     Ok(rows)
 }
 
-/// Writes a `BENCH_*.json` perf artifact in the same schema the vendored
-/// criterion harness emits (`entries` with mean ns, plus derived scalar
-/// `metrics`), so experiment binaries can seed the perf trajectory without
-/// linking the bench harness. `quick` marks reduced-grid runs so they are
-/// machine-distinguishable from full baselines.
-pub fn write_bench_json(
-    path: &std::path::Path,
-    quick: bool,
-    entries: &[(&str, f64)],
-    metrics: &[(&str, f64)],
-) {
-    let mut out = format!(
-        "{{\n  \"quick\": {},\n  \"entries\": [\n",
-        if quick { "true" } else { "false" }
-    );
-    for (i, (name, seconds)) in entries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"mean_ns\": {:.1}, \"iters\": 1}}{}\n",
-            name,
-            seconds * 1e9,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"metrics\": {");
-    for (i, (name, value)) in metrics.iter().enumerate() {
-        out.push_str(&format!(
-            "{}\"{name}\": {value:.6}",
-            if i == 0 { "" } else { ", " }
-        ));
-    }
-    out.push_str("}\n}\n");
-    if let Err(e) = fs::write(path, out) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("  [written {}]", path.display());
-    }
-}
-
-/// [`write_bench_json`] that *merges* into an existing artifact instead
-/// of replacing it: entries and metrics are keyed by name, this run's
-/// values win on collision, and everything the existing file tracked but
-/// this run didn't re-measure survives untouched. This lets independent
-/// binaries (`dse_sweep`, `dse_scale`) share one `BENCH_dse.json`
-/// trajectory file. `quick` only marks the file quick when every
-/// contributing run was quick — a full baseline is never demoted by a
-/// later smoke run.
+/// Merges a run's timings into a `BENCH_*.json` perf artifact, in the
+/// same schema the vendored criterion harness emits (`entries` with mean
+/// ns, plus derived scalar `metrics`), so experiment binaries can seed
+/// the perf trajectory without linking the bench harness. Entries and
+/// metrics are keyed by name, this run's values win on collision, and
+/// everything the existing file tracked but this run didn't re-measure
+/// survives untouched. This lets independent binaries (`dse_sweep`,
+/// `dse_scale`) share one `BENCH_dse.json` trajectory file. `quick` only
+/// marks the file quick when every contributing run was quick — a full
+/// baseline is never demoted by a later smoke run.
 pub fn merge_bench_json(
     path: &std::path::Path,
     quick: bool,

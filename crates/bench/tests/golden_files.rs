@@ -3,15 +3,16 @@
 //! but disabled — the new code path cannot perturb existing results.
 //!
 //! Two layers of defense share this job: the `golden-results` CI job
-//! *regenerates* every golden with the release binaries and diffs it
-//! against the committed file, while this test pins the committed bytes
-//! themselves (FNV-1a hash + length), so an accidental local regeneration
-//! under different code is caught by plain `cargo test` without paying
-//! for the regeneration.
+//! *regenerates* every golden (the spec'd ones with `cimloop evaluate
+//! examples/specs/*.yaml`, the rest with their release bench binaries)
+//! and diffs it against the committed file, while this test pins the
+//! committed bytes themselves (FNV-1a hash + length), so an accidental
+//! local regeneration under different code is caught by plain
+//! `cargo test` without paying for the regeneration.
 //!
 //! If a hash mismatch is *intended* (a deliberate modeling change),
-//! regenerate the golden with its binary, update the constants here, and
-//! say why in the commit message.
+//! regenerate the golden with its spec or binary, update the constants
+//! here, and say why in the commit message.
 
 use std::fs;
 use std::path::PathBuf;
@@ -21,11 +22,11 @@ use std::path::PathBuf;
 /// `network_sweep.tsv` pins the *tiny* model's deterministic record (the
 /// variant CI regenerates); running `network_sweep vit` locally
 /// overwrites it with the vit row — `git checkout -- results/` restores
-/// it, same as the BENCH_*.json quick-mode gotcha. `scenario_custom.tsv`
-/// is produced by the `cimloop` CLI from
-/// `examples/specs/custom_macro.yaml`, `dse_grid.tsv` by
-/// `cimloop dse examples/specs/dse_grid.yaml` (the shard/merge smoke's
-/// single-process reference).
+/// it, same as the BENCH_*.json quick-mode gotcha. Seven goldens come
+/// from the `cimloop` CLI: `scenario_custom.tsv` from
+/// `examples/specs/custom_macro.yaml`, and `dse_accuracy`, `dse_grid`
+/// (the shard/merge smoke's single-process reference), `fig02b`,
+/// `fig09_noise`, `fig12`, and `table02` from the spec of the same name.
 const GOLDENS: [(&str, u64, usize); 15] = [
     ("dse_accuracy.tsv", 0xfe46868d9c67f4fc, 227),
     ("dse_grid.tsv", 0xee3927f97530d0a3, 721),

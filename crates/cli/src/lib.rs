@@ -19,8 +19,9 @@
 //!   [`cimloop_core::Evaluator::DEFAULT_CYCLE_TIME`] fallback).
 //!
 //! The committed `examples/specs/*.yaml` scenarios reproduce the
-//! committed `results/*.tsv` goldens **bit-identically** — the spec path
-//! and the programmatic path are the same engine, and CI diffs them.
+//! committed `results/*.tsv` goldens **bit-identically**, and CI diffs
+//! them. For fig02b, fig09_noise, fig12, and table02 the spec is the
+//! only code path to the experiment.
 
 #![warn(missing_docs)]
 
@@ -199,9 +200,10 @@ impl ValidateOptions {
 }
 
 /// Validates a scenario without running its experiment: parses the
-/// document, resolves architectures/workload/noise, builds the scoped
-/// evaluator, and reports configuration smells. Returns warning lines
-/// (also printed) so tooling can assert on them.
+/// document, resolves architectures/workload/noise and any `!Space`
+/// design space, builds the scoped evaluator, and reports configuration
+/// smells. Returns warning lines (also printed) so tooling can assert on
+/// them.
 ///
 /// # Errors
 ///
@@ -362,6 +364,11 @@ pub fn validate_doc_with(
                 run.layers.len()
             );
         }
+    }
+    // Build the design space as `cimloop dse` would, so a bad `!Space`
+    // axis fails validation with the same line-numbered error.
+    if doc.section("Space").is_some() && !doc.architectures().is_empty() {
+        runners::space_for(doc)?;
     }
     // Reflection fixpoint check: the document must survive its own
     // canonical writer. Drift here means a raw token or a field would be

@@ -1,12 +1,13 @@
 //! The experiment runners behind the `cimloop` subcommands, one per
 //! scenario `experiment:` kind.
 //!
-//! Each runner drives exactly the engine the corresponding experiment
-//! binary drives (`NetworkEngine` for network evaluations, `Explorer`
-//! for design grids, the value-exact simulator for speed records), so a
-//! scenario spec and the programmatic path produce **bit-identical**
-//! TSVs — the committed `examples/specs/*.yaml` reproduce the committed
-//! `results/*.tsv` goldens byte for byte, and CI enforces it.
+//! Each runner drives the library's engines directly (`NetworkEngine`
+//! for network evaluations, `Explorer` for design grids, the value-exact
+//! simulator for speed records), so a scenario spec and the same calls
+//! made programmatically produce **bit-identical** TSVs. The committed
+//! `examples/specs/*.yaml` reproduce the committed `results/*.tsv`
+//! goldens byte for byte, and CI enforces it; for fig02b, fig09_noise,
+//! fig12, and table02 the spec and its runner are the only code path.
 //!
 //! Every runner amortizes against the caller's [`RunContext`] cache, so
 //! a resident daemon shares one cache across requests. Because a served
@@ -153,7 +154,8 @@ fn axis_for(section: &Section, key: &str) -> Result<Option<Axis>, CliError> {
 /// `experiment: sweep` — a cartesian grid of macro-axis values (declared
 /// nesting order, first axis outermost), each cell evaluated on the
 /// workload through one shared energy-table cache, reporting the declared
-/// metric columns. This is the generic form of the fig09_noise grid.
+/// metric columns. `examples/specs/fig09_noise.yaml` runs the Fig 9-style
+/// noise grid through it.
 pub fn sweep(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTable, CliError> {
     let arch = doc
         .architecture()
@@ -267,7 +269,7 @@ pub fn sweep(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTable, Cli
 
 /// Builds the design space from the document's `!Architecture` variants
 /// and its `!Space` axes.
-fn space_for(doc: &ScenarioDoc) -> Result<DesignSpace, CliError> {
+pub(crate) fn space_for(doc: &ScenarioDoc) -> Result<DesignSpace, CliError> {
     if doc.architectures().is_empty() {
         return Err(CliError::usage(
             "scenario has no !Architecture section".to_owned(),
@@ -547,8 +549,8 @@ pub fn merge_fronts(
 
 /// `experiment: compare` — labeled configurations (`!Row` sections)
 /// selected out of an explored design grid, energies normalized over the
-/// selected rows. This is the spec-driven form of the Fig 2b co-design
-/// experiment, through the same [`Explorer`].
+/// selected rows. `examples/specs/fig02b.yaml` runs the Fig 2b co-design
+/// experiment through it.
 pub fn compare(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTable, CliError> {
     let space = space_for(doc)?;
     let net = resolve::workload(doc)?;
@@ -636,8 +638,7 @@ pub fn output_reuse(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTab
         .ok_or_else(|| CliError::usage("!Sweep needs a `workloads:` list".to_owned()))?;
 
     // The matched-utilization workload: a convolution whose window matches
-    // the column group and whose channels fill the rows (same shape the
-    // fig12 binary derives).
+    // the column group and whose channels fill the rows.
     let max_util = |g: u64| -> Result<Workload, CliError> {
         let shape = Shape::conv(base.cols() / g, base.rows(), 16, 16, g.min(8), 1)
             .map_err(|e| CliError::usage(format!("derived max_util shape invalid: {e}")))?;
@@ -726,9 +727,9 @@ pub fn output_reuse(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTab
 /// `experiment: speed_record` — the deterministic work/energy record of
 /// the Table II speed experiment: value-exact simulation of the last
 /// layers, the statistical model over the whole network, a streaming
-/// mapping search, and an amortized engine sweep. (Measured rates belong
-/// to stdout, never to a golden TSV; this runner records only the
-/// deterministic quantities, exactly as the `table02` binary does.)
+/// mapping search, and an amortized engine sweep. Measured rates never
+/// enter a golden TSV, so this runner records only the deterministic
+/// quantities; the Table II timings come from the `model_speed` bench.
 pub fn speed_record(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTable, CliError> {
     let arch = doc
         .architecture()

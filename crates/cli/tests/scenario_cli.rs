@@ -1,5 +1,5 @@
 //! Integration tests of the scenario front-end: the committed example
-//! spec reproduces its committed golden byte-for-byte, and spec-driven
+//! specs reproduce their committed goldens byte-for-byte, and spec-driven
 //! runs are bit-identical to the programmatic API — the two paths are
 //! the same engine.
 
@@ -19,18 +19,28 @@ fn repo_root() -> PathBuf {
 }
 
 #[test]
-fn committed_custom_spec_reproduces_its_committed_golden() {
-    let spec = std::fs::read_to_string(repo_root().join("examples/specs/custom_macro.yaml"))
-        .expect("committed spec exists");
-    let golden = std::fs::read_to_string(repo_root().join("results/scenario_custom.tsv"))
-        .expect("committed golden exists");
-    let doc = ScenarioDoc::parse(&spec).expect("spec parses");
-    let table = run_scenario(&doc).expect("scenario runs");
-    assert_eq!(
-        table.to_tsv(),
-        golden,
-        "the spec path must reproduce the committed golden byte-for-byte"
-    );
+fn committed_specs_reproduce_their_committed_goldens() {
+    // The specs that run in well under a second even in a debug build;
+    // fig02b, fig12, and table02 are left to the release-mode
+    // golden-results CI job.
+    for (spec, golden) in [
+        ("custom_macro.yaml", "scenario_custom.tsv"),
+        ("fig09_noise.yaml", "fig09_noise.tsv"),
+        ("dse_grid.yaml", "dse_grid.tsv"),
+        ("dse_accuracy.yaml", "dse_accuracy.tsv"),
+    ] {
+        let text = std::fs::read_to_string(repo_root().join("examples/specs").join(spec))
+            .expect("committed spec exists");
+        let expected = std::fs::read_to_string(repo_root().join("results").join(golden))
+            .expect("committed golden exists");
+        let doc = ScenarioDoc::parse(&text).expect("spec parses");
+        let table = run_scenario(&doc).expect("scenario runs");
+        assert_eq!(
+            table.to_tsv(),
+            expected,
+            "{spec} must reproduce results/{golden} byte-for-byte"
+        );
+    }
 }
 
 #[test]
@@ -194,9 +204,9 @@ fn subcommand_kind_gating_and_errors() {
 
 #[test]
 fn every_committed_spec_validates() {
-    // The cli-smoke CI job runs `cimloop validate` over every committed
-    // spec; workload-less kinds (fig12's output_reuse derives its
-    // workloads from the sweep) must validate too.
+    // The golden-results CI job runs `cimloop validate` over every
+    // committed spec; workload-less kinds (fig12's output_reuse derives
+    // its workloads from the sweep) must validate too.
     let dir = repo_root().join("examples/specs");
     let mut seen = 0;
     for entry in std::fs::read_dir(&dir).expect("specs directory exists") {
@@ -208,7 +218,10 @@ fn every_committed_spec_validates() {
         validate_text(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         seen += 1;
     }
-    assert!(seen >= 5, "expected the five committed specs, found {seen}");
+    assert!(
+        seen >= 7,
+        "expected the seven committed specs, found {seen}"
+    );
 }
 
 #[test]
@@ -548,35 +561,45 @@ fn slice_width_above_16_is_a_line_numbered_error_not_a_panic() {
     // Regression: a cell wider than 16 bits reached the `expect` in
     // `ArrayMacro::representation`, so `validate` and `evaluate` panicked.
     // Both architecture paths, an inline component tree and a preset
-    // override, must fail at the `!Architecture` line instead.
-    let custom = std::fs::read_to_string(repo_root().join("examples/specs/custom_macro.yaml"))
-        .expect("committed spec exists");
-    let mut specs = vec!["!Scenario\nname: wide\nexperiment: evaluate\n\
+    // override, must fail at the `!Architecture` line instead, and a
+    // `!Space` width axis at the axis's own line.
+    let read = |name: &str| {
+        std::fs::read_to_string(repo_root().join("examples/specs").join(name))
+            .expect("committed spec exists")
+    };
+    let (custom, grid) = (read("custom_macro.yaml"), read("dse_grid.yaml"));
+    let preset = "!Scenario\nname: wide\nexperiment: evaluate\n\
          !Architecture\nmacro: base\ncell_bits: 64\n\
          !Workload\nname: tiny\n\
-         !Layer\nname: fc\nkind: linear\nn: 1\nk: 8\nc: 8\n"
-        .to_owned()];
+         !Layer\nname: fc\nkind: linear\nn: 1\nk: 8\nc: 8\n";
+    let space_cell = grid.replacen("!Space\n", "!Space\ncell_bits: [64]\n", 1);
+    let space_dac = grid.replacen("dac_bits: [1, 2]", "dac_bits: [1, 64]", 1);
+    // (spec, the line the error must cite, the width it must name)
+    let mut cases = vec![
+        (preset.to_owned(), "!Architecture", "cell_bits"),
+        (space_cell, "cell_bits: [64]", "cell_bits"),
+        (space_dac, "dac_bits: [1, 64]", "dac_bits"),
+    ];
     for bits in [33, 64] {
         let spec = custom.replacen("\nbits: 2\n", &format!("\nbits: {bits}\n"), 1);
-        assert_ne!(spec, custom, "the cell width must have been rewritten");
-        specs.push(spec);
+        cases.push((spec, "!Architecture", "cell_bits"));
     }
-    for spec in &specs {
+    for (spec, cited, key) in &cases {
         let line = 1 + spec
             .lines()
-            .position(|l| l == "!Architecture")
-            .expect("spec has an !Architecture section");
+            .position(|l| l == *cited)
+            .expect("the rewrite left the cited line");
         let doc = ScenarioDoc::parse(spec).expect("spec parses");
         let validated = validate_doc_with(&doc, &ValidateOptions::default()).map(|_| ());
         let evaluated = run_scenario(&doc).map(|_| ());
         for result in [validated, evaluated] {
             match result {
                 Err(CliError::Spec(SpecError::Parse { line: at, message })) => {
-                    assert_eq!(at, line, "error must point at !Architecture: {message}");
-                    assert!(message.contains("cell_bits"), "{message}");
+                    assert_eq!(at, line, "error must point at `{cited}`: {message}");
+                    assert!(message.contains(key), "{message}");
                 }
                 Err(other) => panic!("expected a line-numbered parse error, got {other}"),
-                Ok(()) => panic!("a 33+-bit cell must be rejected"),
+                Ok(()) => panic!("a {key} value past 16 bits must be rejected"),
             }
         }
     }

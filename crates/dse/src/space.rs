@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use cimloop_core::{Encoding, Representation};
 use cimloop_macros::ArrayMacro;
 use cimloop_noise::NoiseSpec;
 
@@ -234,7 +235,9 @@ impl DesignSpace {
     /// malformed lists, or an axis that is declared but empty (an empty
     /// axis would multiply the grid down to zero candidates — the
     /// explorer refuses to "sweep" nothing, so the mistake is reported
-    /// here with the axis's own line number).
+    /// here with the axis's own line number). A `dac_bits` or `cell_bits`
+    /// value that would build a design outside `1..=16` bits is reported
+    /// at its axis's line too.
     pub fn with_section(
         self,
         section: &cimloop_spec::Section,
@@ -275,6 +278,29 @@ impl DesignSpace {
         }
         if let Some(floor) = axes.min_coverage {
             space = space.min_coverage(floor);
+        }
+        // `ArrayMacro::representation` relies on valid slice widths, so
+        // check each variant's DAC × cell pair with the bound
+        // `Representation::new` enforces. The variants were validated when
+        // resolved, so a bad pair comes from an axis: cite its line.
+        let check = |key: &str, dac: u32, cell: u32| {
+            Representation::new(Encoding::TwosComplement, Encoding::Offset, dac, cell)
+                .map(drop)
+                .map_err(|e| cimloop_spec::SpecError::Parse {
+                    line: section.get(key).map_or(section.line(), |entry| entry.line),
+                    message: format!("!Space axis `{key}`: {e}"),
+                })
+        };
+        for (_, base) in &space.variants {
+            for dac in axis(&space.dac_bits) {
+                // `point_at` sets the DAC with `with_dac_resolution`, which
+                // raises 0 to 1.
+                let dac = dac.map_or(base.dac_bits(), |bits| bits.max(1));
+                check("dac_bits", dac, base.cell_bits())?;
+                for cell in axis(&space.cell_bits) {
+                    check("cell_bits", dac, cell.unwrap_or(base.cell_bits()))?;
+                }
+            }
         }
         Ok(space)
     }
