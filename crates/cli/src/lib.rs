@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::path::Path;
 use std::sync::Arc;
 
 use cimloop_bench::ExperimentTable;
@@ -156,19 +155,6 @@ pub fn run_scenario_with(doc: &ScenarioDoc, ctx: &RunContext) -> Result<Experime
              output_reuse, or speed_record)"
         ))),
     }
-}
-
-/// Parses a scenario source text and runs it, writing
-/// `<out_dir>/<name>.tsv` and printing the table.
-///
-/// # Errors
-///
-/// See [`run_scenario`].
-pub fn run_text(text: &str, out_dir: &Path) -> Result<ExperimentTable, CliError> {
-    let doc = ScenarioDoc::parse(text)?;
-    let table = run_scenario(&doc)?;
-    table.finish_to(out_dir);
-    Ok(table)
 }
 
 /// The documented analytic-vs-Monte-Carlo SNR agreement bound, dB (see

@@ -78,7 +78,9 @@ fn encoding(name: &str) -> Result<Encoding, CliError> {
 ///
 /// Propagates parse, preset-lookup, import, and calibration errors, and
 /// returns a parse error at the section's line when the final DAC or cell
-/// width is outside what a [`Representation`] accepts.
+/// width is outside what a [`Representation`] accepts, or at the key's
+/// line when `columns_per_group` or `operands` is 0 or exceeds the
+/// array's columns.
 pub fn architecture(doc: &ScenarioDoc, arch: &ArchitectureSpec) -> Result<ArrayMacro, CliError> {
     let s = &arch.settings;
     let view = ArchitectureSection::decode(s)?;
@@ -159,6 +161,25 @@ pub fn architecture(doc: &ScenarioDoc, arch: &ArchitectureSpec) -> Result<ArrayM
         let input = encoding(view.input_encoding.as_deref().unwrap_or("twos_complement"))?;
         let weight = encoding(view.weight_encoding.as_deref().unwrap_or("offset"))?;
         m = m.with_encodings(input, weight);
+    }
+    // A per-group column count divides the array's columns into groups,
+    // so it obeys the bound `groupings:` does: 1 <= n <= cols.
+    for (key, n) in [
+        ("columns_per_group", view.columns_per_group),
+        ("operands", u64::from(view.operands)),
+    ] {
+        let Some(entry) = s.get(key) else { continue };
+        if n == 0 || n > m.cols() {
+            return Err(CliError::Spec(SpecError::Parse {
+                line: entry.line,
+                message: format!(
+                    "`{key}: {n}` is invalid: it must satisfy 1 <= {key} <= cols ({} columns \
+                     on architecture `{}`)",
+                    m.cols(),
+                    m.name()
+                ),
+            }));
+        }
     }
     if let Some(kind) = &view.combine {
         let combine = match kind.as_str() {

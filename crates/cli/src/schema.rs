@@ -48,8 +48,8 @@ cimloop_spec::reflect_section! {
         macro_name as "macro": [opt str], "macro preset: base, macro_a..macro_d, or digital";
         calibrated: [bool] = true, "whether the macro keeps its energy calibration";
         frozen: [bool] = false, "bake the anchor's calibration scales at the preset-default configuration";
-        rows: [opt u64], "array rows override";
-        cols: [opt u64], "array columns override";
+        rows: [opt count], "array rows override";
+        cols: [opt count], "array columns override";
         node_nm: [opt f64], "technology node override, nm";
         adc_bits: [opt u32], "ADC resolution override, bits";
         adc_rate: [opt f64], "ADC sample-rate override, Hz";
@@ -57,14 +57,14 @@ cimloop_spec::reflect_section! {
         dac_bits: [opt u32], "DAC resolution override, bits";
         cell_class: [opt str], "memory-cell component class override";
         dac_class: [opt str], "DAC component class override";
-        storage_banks: [opt u64], "system storage-bank count";
-        buffer_entries: [opt u64], "system buffer depth, entries";
+        storage_banks: [opt count], "system storage-bank count";
+        buffer_entries: [opt count], "system buffer depth, entries";
         supply_voltage: [opt f64], "supply-voltage override, V";
         input_encoding: [opt str], "input encoding: twos_complement, offset, differential, sign_magnitude, or xnor";
         weight_encoding: [opt str], "weight encoding (same names as input_encoding)";
         combine: [opt str], "output-combine strategy: none, wire_sum, analog_adder, or analog_accumulator";
-        columns_per_group: [u64] = 1, "wire_sum: columns summed per output group";
-        operands: [u32] = 2, "analog_adder: operands per adder";
+        columns_per_group: [u64] = 1, "wire_sum: columns summed per output group, 1 to cols";
+        operands: [u32] = 2, "analog_adder: operands per adder, 1 to cols";
     }
 }
 
@@ -87,7 +87,7 @@ cimloop_spec::reflect_section! {
         variations: [list f64], "cell-variation sigma axis";
         adc_bits: [list u64], "ADC-resolution axis, bits";
         dac_bits: [list u64], "DAC-resolution axis, bits";
-        square_arrays: [list u64], "array-size axis: each n evaluates an nxn array";
+        square_arrays: [list count], "array-size axis: each n evaluates an nxn array";
         metrics: [list str], "report columns: snr_db, enob, energy, energy_per_mac, tops_per_watt, gops";
         groupings: [list u64], "output_reuse: wire-summed columns per output group";
         workloads: [list str], "output_reuse: zoo workload keys (or max_util)";

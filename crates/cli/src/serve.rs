@@ -28,7 +28,10 @@
 //! `RUNJSON` carries the same scenario as JSON (the reflection-backed
 //! interchange encoding, [`cimloop_spec::scenario::ScenarioDoc::from_json`]);
 //! both frames resolve through the same reflected schemas and produce
-//! byte-identical TSV responses for equivalent documents.
+//! byte-identical TSV responses for equivalent documents. A JSON body
+//! nesting arrays/objects deeper than [`cimloop_spec::json::MAX_DEPTH`]
+//! (128) levels is answered `ERR` with the line of the first bracket
+//! past the cap; the parser stops there instead of recursing further.
 //!
 //! Server → client, one response per command:
 //!

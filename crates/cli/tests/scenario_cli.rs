@@ -557,32 +557,64 @@ fn malformed_spec_is_a_spec_error_not_a_panic() {
 }
 
 #[test]
-fn slice_width_above_16_is_a_line_numbered_error_not_a_panic() {
-    // Regression: a cell wider than 16 bits reached the `expect` in
-    // `ArrayMacro::representation`, so `validate` and `evaluate` panicked.
-    // Both architecture paths, an inline component tree and a preset
-    // override, must fail at the `!Architecture` line instead, and a
-    // `!Space` width axis at the axis's own line.
+fn out_of_range_widths_and_counts_are_line_numbered_errors() {
+    // Regressions: a cell wider than 16 bits reached the `expect` in
+    // `ArrayMacro::representation`, so `validate` and `evaluate` panicked;
+    // a zero or oversized count was silently clamped into range and the
+    // clamped design evaluated. Both architecture paths, an inline
+    // component tree and a preset override, must fail at the
+    // `!Architecture` line for a bad width, a count at its key's line,
+    // and a `!Space` or `!Sweep` axis at the axis's own line.
     let read = |name: &str| {
         std::fs::read_to_string(repo_root().join("examples/specs").join(name))
             .expect("committed spec exists")
     };
     let (custom, grid) = (read("custom_macro.yaml"), read("dse_grid.yaml"));
-    let preset = "!Scenario\nname: wide\nexperiment: evaluate\n\
-         !Architecture\nmacro: base\ncell_bits: 64\n\
-         !Workload\nname: tiny\n\
-         !Layer\nname: fc\nkind: linear\nn: 1\nk: 8\nc: 8\n";
+    let preset = |settings: &str| {
+        format!(
+            "!Scenario\nname: wide\nexperiment: evaluate\n\
+             !Architecture\nmacro: base\n{settings}\n\
+             !Workload\nname: tiny\n\
+             !Layer\nname: fc\nkind: linear\nn: 1\nk: 8\nc: 8\n"
+        )
+    };
     let space_cell = grid.replacen("!Space\n", "!Space\ncell_bits: [64]\n", 1);
     let space_dac = grid.replacen("dac_bits: [1, 2]", "dac_bits: [1, 64]", 1);
-    // (spec, the line the error must cite, the width it must name)
+    let space_array = grid.replacen("square_arrays: [32, 64, 128]", "square_arrays: [32, 0]", 1);
+    let sweep_array = read("fig09_noise.yaml").replacen(
+        "variations: [0.00, 0.05, 0.10, 0.20]",
+        "square_arrays: [0]",
+        1,
+    );
+    // (spec, the line the error must cite, the key it must name)
     let mut cases = vec![
-        (preset.to_owned(), "!Architecture", "cell_bits"),
+        (preset("cell_bits: 64"), "!Architecture", "cell_bits"),
         (space_cell, "cell_bits: [64]", "cell_bits"),
         (space_dac, "dac_bits: [1, 64]", "dac_bits"),
+        (space_array, "square_arrays: [32, 0]", "square_arrays"),
+        (sweep_array, "square_arrays: [0]", "square_arrays"),
     ];
     for bits in [33, 64] {
         let spec = custom.replacen("\nbits: 2\n", &format!("\nbits: {bits}\n"), 1);
         cases.push((spec, "!Architecture", "cell_bits"));
+    }
+    for (settings, key) in [
+        ("rows: 0", "rows"),
+        ("cols: 0", "cols"),
+        ("storage_banks: 0", "storage_banks"),
+        ("buffer_entries: 0", "buffer_entries"),
+        ("combine: analog_adder\noperands: 0", "operands"),
+        (
+            "combine: wire_sum\ncolumns_per_group: 0",
+            "columns_per_group",
+        ),
+        (
+            "combine: wire_sum\ncolumns_per_group: 1000",
+            "columns_per_group",
+        ),
+    ] {
+        let cited = settings.lines().last().expect("one setting line");
+        cases.push((preset(settings), cited, key));
     }
     for (spec, cited, key) in &cases {
         let line = 1 + spec
@@ -599,7 +631,7 @@ fn slice_width_above_16_is_a_line_numbered_error_not_a_panic() {
                     assert!(message.contains(key), "{message}");
                 }
                 Err(other) => panic!("expected a line-numbered parse error, got {other}"),
-                Ok(()) => panic!("a {key} value past 16 bits must be rejected"),
+                Ok(()) => panic!("`{cited}` must be rejected"),
             }
         }
     }

@@ -179,6 +179,27 @@ fn client_disconnect_aborts_the_request_not_the_daemon() {
         .expect("clean shutdown");
 }
 
+/// A hostile RUNJSON frame nesting far past the JSON depth cap (about
+/// 100 KB, well under the body limit) fails its own request with `ERR`;
+/// without the cap it overflowed a worker's stack and aborted the daemon.
+#[test]
+fn deeply_nested_runjson_fails_the_request_not_the_daemon() {
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    let deep = "[".repeat(50_000);
+    match client.run_json(&deep).expect("deep frame answered") {
+        Response::Err(message) => assert!(message.contains("nesting"), "{message}"),
+        Response::Ok { name, .. } => panic!("a 50,000-deep document must fail, got `{name}`"),
+    }
+    let (name, body) = expect_table(client.ping().expect("ping after the deep frame"));
+    assert_eq!((name.as_str(), body.len()), ("pong", 0));
+    expect_table(client.shutdown().expect("shutdown"));
+    handle
+        .join()
+        .expect("server thread")
+        .expect("clean shutdown");
+}
+
 /// The shared daemon context really is shared: a repeated request hits
 /// the cache instead of recomputing (timing changes, bytes never do).
 #[test]

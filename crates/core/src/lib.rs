@@ -83,6 +83,7 @@ mod cache;
 mod encoding;
 mod error;
 mod evaluator;
+mod parallel;
 mod pipeline;
 mod representation;
 
@@ -92,6 +93,7 @@ pub use error::CoreError;
 pub use evaluator::{
     ActionEnergyTable, AreaReport, CheapMetrics, ComponentReport, Evaluator, LayerReport, RunReport,
 };
+pub use parallel::par_try_map;
 pub use pipeline::{reduction_rows_of, Pipeline, ValueStats};
 pub use representation::Representation;
 

@@ -1,9 +1,9 @@
 //! The parallel design-space explorer.
 //!
-//! Candidate designs fan out over a scoped thread pool (work-stealing by
-//! design index, the same discipline as
-//! [`cimloop_system::NetworkEngine`]), all workers sharing one
-//! [`EnergyTableCache`]. Table signatures differ per design (each design
+//! Candidate designs fan out over [`par_try_map`], the one place
+//! evaluation threads are spawned (work-stealing by design index, the
+//! same pool as [`cimloop_system::NetworkEngine`]), all workers sharing
+//! one [`EnergyTableCache`]. Table signatures differ per design (each design
 //! is its own hierarchy), but the expensive hierarchy-independent value
 //! statistics are keyed only by `(layer values, representation, reduction
 //! width)` — so designs that differ in ADC resolution, output-combining
@@ -36,10 +36,11 @@
 //!   produces, because the front is insertion-order-independent and
 //!   equal-objective classes collapse to the globally smallest id.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cimloop_core::{CoreError, EnergyTableCache, Evaluator, Representation, RunReport};
+use cimloop_core::{
+    par_try_map, CoreError, EnergyTableCache, Evaluator, Representation, RunReport,
+};
 use cimloop_macros::ArrayMacro;
 use cimloop_noise::SNR_CAP_DB;
 use cimloop_sim::{mc_workload, McConfig};
@@ -493,89 +494,31 @@ impl Explorer {
         let completed = limit == candidates.len();
         let claimed = &candidates[..limit];
 
-        let threads = self.resolved_threads(limit);
+        // Reports stream into the front as workers finish; each task
+        // returns only whether its design survived the screens.
         let front = Mutex::new(seed);
-        let evaluated = AtomicUsize::new(0);
-        let screened = AtomicUsize::new(0);
-
-        if threads <= 1 {
-            for point in claimed {
-                match self.screened_report(point, space, workload)? {
-                    Some(report) => {
-                        evaluated.fetch_add(1, Ordering::Relaxed);
-                        sink(&report);
-                        front.lock().expect("front lock poisoned").insert(
-                            point.id(),
-                            report.objectives_for(self.accuracy),
-                            report,
-                        );
-                    }
-                    None => {
-                        screened.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let failed = AtomicBool::new(false);
-            let mut failures: Vec<(u64, CoreError)> = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for _ in 0..threads {
-                    let next = &next;
-                    let failed = &failed;
-                    let front = &front;
-                    let evaluated = &evaluated;
-                    let screened = &screened;
-                    let sink = &sink;
-                    let this = self;
-                    handles.push(scope.spawn(move || {
-                        let mut errors = Vec::new();
-                        while !failed.load(Ordering::Relaxed) {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= limit {
-                                break;
-                            }
-                            let point = &claimed[i];
-                            match this.screened_report(point, space, workload) {
-                                Ok(Some(report)) => {
-                                    evaluated.fetch_add(1, Ordering::Relaxed);
-                                    sink(&report);
-                                    front.lock().expect("front lock poisoned").insert(
-                                        point.id(),
-                                        report.objectives_for(this.accuracy),
-                                        report,
-                                    );
-                                }
-                                Ok(None) => {
-                                    screened.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(e) => {
-                                    failed.store(true, Ordering::Relaxed);
-                                    errors.push((point.id(), e));
-                                }
-                            }
-                        }
-                        errors
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("explorer worker panicked"))
-                    .collect()
-            });
-            failures.sort_by_key(|&(id, _)| id);
-            if let Some((_, error)) = failures.into_iter().next() {
-                return Err(error);
-            }
-        }
+        let survived = par_try_map(self.threads, limit, |i| -> Result<bool, CoreError> {
+            let point = &claimed[i];
+            let Some(report) = self.screened_report(point, space, workload)? else {
+                return Ok(false);
+            };
+            sink(&report);
+            front.lock().expect("front lock poisoned").insert(
+                point.id(),
+                report.objectives_for(self.accuracy),
+                report,
+            );
+            Ok(true)
+        })?;
+        let evaluated = survived.iter().filter(|&&s| s).count();
 
         let mut processed = prior;
         processed.extend(claimed.iter().map(DesignPoint::id));
         processed.sort_unstable();
         Ok(Exploration {
             front: front.into_inner().expect("front lock poisoned"),
-            evaluated: evaluated.load(Ordering::Relaxed),
-            screened: screened.load(Ordering::Relaxed),
+            evaluated,
+            screened: limit - evaluated,
             pruned,
             processed,
             completed,
@@ -614,25 +557,6 @@ impl Explorer {
         Ok(Some(report))
     }
 
-    /// Evaluates one design through the shared cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluator construction and evaluation errors.
-    pub fn evaluate_design(
-        &self,
-        point: &DesignPoint,
-        workload: &Workload,
-    ) -> Result<DesignReport, CoreError> {
-        let (evaluator, rep) = self.evaluator_for(point)?;
-        let run = evaluator.evaluate_cached(workload, &rep, &self.cache)?;
-        let mut report = summarize(point, &evaluator, &run);
-        if self.accuracy == AccuracyObjective::TaskAccuracy {
-            report.task_accuracy = Some(task_accuracy_of(point.cim_macro(), workload)?);
-        }
-        Ok(report)
-    }
-
     /// Builds the scoped evaluator and representation for one design.
     fn evaluator_for(&self, point: &DesignPoint) -> Result<(Evaluator, Representation), CoreError> {
         match self.scope {
@@ -645,18 +569,6 @@ impl Explorer {
                 Ok((system.evaluator()?, system.representation()))
             }
         }
-    }
-
-    /// The resolved worker count for `designs` candidates.
-    fn resolved_threads(&self, designs: usize) -> usize {
-        let configured = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
-        configured.clamp(1, designs.max(1))
     }
 }
 
@@ -741,13 +653,22 @@ mod tests {
             cimloop_noise::NoiseSpec::new().with_cell_variation(0.15),
         ]);
         let net = tiny_workload();
-        // Every objective must match a naive uncached sweep bit-for-bit.
-        for accuracy in [
+        // Every objective, at both scopes, must match a naive uncached
+        // sweep bit-for-bit.
+        let scopes = [
+            EvalScope::MacroOnly,
+            EvalScope::System(StorageScenario::AllTensorsFromDram),
+        ];
+        let objectives = [
             AccuracyObjective::AdcCoverage,
             AccuracyObjective::OutputSnr,
             AccuracyObjective::TaskAccuracy,
-        ] {
-            let explorer = Explorer::new().with_accuracy(accuracy).with_threads(2);
+        ];
+        for (scope, accuracy) in scopes.into_iter().flat_map(|s| objectives.map(|a| (s, a))) {
+            let explorer = Explorer::new()
+                .with_scope(scope)
+                .with_accuracy(accuracy)
+                .with_threads(2);
             let exploration = explorer.explore(&space, &net).unwrap();
             assert_eq!(exploration.evaluated, 16);
 
@@ -755,10 +676,18 @@ mod tests {
             // summarize + task-accuracy helpers.
             let mut naive = ParetoFront::new();
             for point in space.designs() {
-                let evaluator = point.cim_macro().evaluator().unwrap();
-                let run = evaluator
-                    .evaluate(&net, &point.cim_macro().representation())
-                    .unwrap();
+                let (evaluator, rep) = match scope {
+                    EvalScope::MacroOnly => (
+                        point.cim_macro().evaluator().unwrap(),
+                        point.cim_macro().representation(),
+                    ),
+                    EvalScope::System(scenario) => {
+                        let system =
+                            CimSystem::new(point.cim_macro().clone()).with_scenario(scenario);
+                        (system.evaluator().unwrap(), system.representation())
+                    }
+                };
+                let run = evaluator.evaluate(&net, &rep).unwrap();
                 let mut report = summarize(&point, &evaluator, &run);
                 if accuracy == AccuracyObjective::TaskAccuracy {
                     report.task_accuracy = Some(task_accuracy_of(point.cim_macro(), &net).unwrap());
@@ -821,11 +750,12 @@ mod tests {
             .variant("quiet", quiet)
             .variant("noisy", noisy);
         let net = tiny_workload();
-        let explorer = Explorer::new().with_threads(1);
-        let mut reports: Vec<DesignReport> = Vec::new();
-        for point in space.designs() {
-            reports.push(explorer.evaluate_design(&point, &net).unwrap());
-        }
+        let reports = Mutex::new(Vec::new());
+        Explorer::new()
+            .with_threads(1)
+            .explore_with(&space, &net, |r| reports.lock().unwrap().push(r.clone()))
+            .unwrap();
+        let reports: Vec<DesignReport> = reports.into_inner().unwrap();
         assert_eq!(reports[0].accuracy_proxy, reports[1].accuracy_proxy);
         let quiet_snr = reports[0].output_snr_db.unwrap();
         let noisy_snr = reports[1].output_snr_db.unwrap();
@@ -1010,7 +940,7 @@ mod tests {
             let mut v: Vec<f64> = open
                 .designs()
                 .iter()
-                .map(|p| explorer.evaluate_design(p, &net).unwrap().area_mm2)
+                .map(|p| p.cim_macro().evaluator().unwrap().area().total_mm2())
                 .collect();
             v.sort_by(f64::total_cmp);
             v

@@ -12,7 +12,8 @@
 //!   (array dims, DAC/ADC resolution, cell width) over named
 //!   [`ArrayMacro`](cimloop_macros::ArrayMacro) variants, with stable
 //!   design ids and user filters.
-//! - [`Explorer`] — fans candidate designs over a scoped thread pool with
+//! - [`Explorer`] — fans candidate designs over
+//!   [`par_try_map`](cimloop_core::par_try_map) with
 //!   one shared [`EnergyTableCache`](cimloop_core::EnergyTableCache):
 //!   layers within a design share finished energy tables, and designs
 //!   that agree on reduction width and representation share the dominant

@@ -163,11 +163,6 @@ impl<T> ParetoFront<T> {
         &self.members
     }
 
-    /// Consumes the front, yielding its members ascending by `id`.
-    pub fn into_members(self) -> Vec<FrontMember<T>> {
-        self.members
-    }
-
     /// Number of members on the front.
     pub fn len(&self) -> usize {
         self.members.len()

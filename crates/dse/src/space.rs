@@ -19,7 +19,7 @@ cimloop_spec::reflect_section! {
     /// which the caller resolves) and the stage-one screening
     /// constraints.
     pub struct SpaceSection: "Space" {
-        square_arrays: [list u64], "array-size axis: each n builds an nxn array";
+        square_arrays: [list count], "array-size axis: each n builds an nxn array";
         dac_bits: [list u32], "DAC-resolution axis, bits";
         adc_bits: [list u32], "ADC-resolution axis, bits";
         cell_bits: [list u32], "cell bit-width axis";
@@ -181,12 +181,6 @@ impl DesignSpace {
     /// Adds square `n`×`n` array sizes to the array-dimension axis.
     pub fn square_arrays(mut self, sizes: impl IntoIterator<Item = u64>) -> Self {
         self.array_sizes.extend(sizes.into_iter().map(|n| (n, n)));
-        self
-    }
-
-    /// Adds explicit `(rows, cols)` entries to the array-dimension axis.
-    pub fn array_dims(mut self, dims: impl IntoIterator<Item = (u64, u64)>) -> Self {
-        self.array_sizes.extend(dims);
         self
     }
 

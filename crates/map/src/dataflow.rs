@@ -43,18 +43,6 @@ impl DataflowResult {
             .unwrap_or_default()
     }
 
-    /// Total actions of `component` summed over tensors.
-    pub fn total_actions(&self, component: &str) -> Actions {
-        let mut total = Actions::default();
-        if let Some(per) = self.components.get(component) {
-            for a in per {
-                total.reads += a.reads;
-                total.writes += a.writes;
-            }
-        }
-        total
-    }
-
     /// Iterates `(component, per-tensor actions)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[Actions; 3])> {
         self.components.iter().map(|(k, v)| (k.as_str(), v))

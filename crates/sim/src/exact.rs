@@ -1,7 +1,7 @@
 use std::collections::BTreeMap;
 
 use cimloop_circuits::ValueContext;
-use cimloop_core::{CoreError, Encoding, Evaluator};
+use cimloop_core::{par_try_map, CoreError, Encoding, Evaluator};
 use cimloop_macros::{ArrayMacro, OutputCombine};
 use cimloop_map::analyze;
 use cimloop_spec::Tensor;
@@ -280,51 +280,28 @@ pub fn simulate_layer(
         layer.weight_signed(),
     );
 
+    // Steps split into at most `threads` equal shares. A single share
+    // draws from `cfg.seed`; share `t` of several from `cfg.seed + t + 1`.
     let threads = cfg.threads.max(1).min(simulated.max(1) as usize);
-    let mut partials: Vec<SimPartial> = Vec::new();
-    if threads == 1 {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        partials.push(simulate_steps(
-            simulated,
+    let per_share = simulated.div_ceil(threads as u64).max(1);
+    let shares = simulated.div_ceil(per_share).max(1) as usize;
+    let partials = par_try_map(threads, shares, |t| {
+        let steps = per_share.min(simulated - t as u64 * per_share);
+        let seed = if shares == 1 {
+            cfg.seed
+        } else {
+            cfg.seed.wrapping_add(t as u64 + 1)
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        Ok::<_, CoreError>(simulate_steps(
+            steps,
             &geometry,
             &tables,
             &input_sampler,
             &weight_sampler,
             &mut rng,
-        ));
-    } else {
-        let per_thread = simulated.div_ceil(threads as u64);
-        let results: Vec<SimPartial> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let steps = per_thread.min(simulated.saturating_sub(t as u64 * per_thread));
-                if steps == 0 {
-                    continue;
-                }
-                let geometry = &geometry;
-                let tables = &tables;
-                let input_sampler = &input_sampler;
-                let weight_sampler = &weight_sampler;
-                let seed = cfg.seed.wrapping_add(t as u64 + 1);
-                handles.push(scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    simulate_steps(
-                        steps,
-                        geometry,
-                        tables,
-                        input_sampler,
-                        weight_sampler,
-                        &mut rng,
-                    )
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sim thread"))
-                .collect()
-        });
-        partials = results;
-    }
+        ))
+    })?;
 
     let mut sim = SimPartial::default();
     for p in &partials {

@@ -31,7 +31,9 @@
 //! model's "disabled noise cannot perturb the ideal path" guarantee —
 //! and `task_accuracy` is exactly `1.0`.
 
-use cimloop_core::{CoreError, ValueStats};
+use std::convert::Infallible;
+
+use cimloop_core::{par_try_map, CoreError, ValueStats};
 use cimloop_macros::ArrayMacro;
 use cimloop_noise::{AdcTransfer, NoiseSpec, SNR_CAP_DB};
 use cimloop_stats::Pmf;
@@ -294,26 +296,11 @@ fn run_column(col: &Column, cfg: &McConfig, inject: bool) -> McReadout {
             CHUNK_TRIALS
         }
     };
-    let threads = cfg.threads.max(1).min(chunks as usize);
-    let mut partials: Vec<Partial> = vec![Partial::default(); chunks as usize];
-    if threads == 1 {
-        for (c, slot) in partials.iter_mut().enumerate() {
-            *slot = run_chunk(col, chunk_len(c as u64), cfg.seed, c as u64, inject);
-        }
-    } else {
-        let per = chunks.div_ceil(threads as u64) as usize;
-        std::thread::scope(|scope| {
-            for (t, window) in partials.chunks_mut(per).enumerate() {
-                let first = (t * per) as u64;
-                scope.spawn(move || {
-                    for (i, slot) in window.iter_mut().enumerate() {
-                        let c = first + i as u64;
-                        *slot = run_chunk(col, chunk_len(c), cfg.seed, c, inject);
-                    }
-                });
-            }
-        });
-    }
+    let partials = par_try_map(cfg.threads.max(1), chunks as usize, |c| {
+        let c = c as u64;
+        Ok::<_, Infallible>(run_chunk(col, chunk_len(c), cfg.seed, c, inject))
+    })
+    .unwrap_or_else(|never| match never {});
     // Sequential merge in chunk order: the same bytes at any thread count.
     let mut total = Partial::default();
     for p in &partials {

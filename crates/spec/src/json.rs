@@ -150,17 +150,23 @@ fn quote(s: &str) -> String {
     out
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so the cap keeps hostile input from
+/// overflowing the stack; the committed specs nest at most 6 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a reflected [`Value`].
 ///
 /// # Errors
 ///
 /// Returns [`SpecError::Parse`] with the 1-based source line on
-/// malformed JSON, `null` values (the model has no null), or trailing
-/// garbage.
+/// malformed JSON, `null` values (the model has no null), nesting deeper
+/// than [`MAX_DEPTH`], or trailing garbage.
 pub fn parse(text: &str) -> Result<Value, SpecError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -174,6 +180,7 @@ pub fn parse(text: &str) -> Result<Value, SpecError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -216,14 +223,27 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, SpecError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Scalar(ScalarValue::parse(&self.string()?))),
             Some(b't') | Some(b'f') => self.keyword(),
             Some(b'n') => Err(self.error("`null` is not supported (omit the key instead)")),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, SpecError>,
+    ) -> Result<Value, SpecError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, SpecError> {
@@ -454,6 +474,23 @@ mod tests {
                     );
                 }
                 other => panic!("{text:?}: expected a trailing-content error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_positioned_error_not_a_stack_overflow() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        for deep in [
+            format!("\n{}", "[".repeat(200_000)),
+            format!("\n{}", "{\"a\": ".repeat(MAX_DEPTH + 1)),
+        ] {
+            match parse(&deep) {
+                Err(SpecError::Parse { line: 2, message }) => {
+                    assert!(message.contains("nesting deeper than 128"), "{message}");
+                }
+                other => panic!("expected a line-2 nesting error, got {other:?}"),
             }
         }
     }

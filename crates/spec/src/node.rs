@@ -255,11 +255,6 @@ impl Component {
         &self.directives
     }
 
-    /// Mutable access to the directives.
-    pub fn directives_mut(&mut self) -> &mut TensorDirectives {
-        &mut self.directives
-    }
-
     /// Spatial fanout of this component.
     pub fn spatial(&self) -> Spatial {
         self.spatial

@@ -103,6 +103,8 @@ pub enum FieldKind {
     U64,
     /// A non-negative integer scalar within `u32` range.
     U32,
+    /// A positive integer scalar: a count, where 0 is an error.
+    Count,
     /// A `true`/`false` scalar.
     Bool,
     /// Any scalar, kept as its raw token.
@@ -113,6 +115,8 @@ pub enum FieldKind {
     U64List,
     /// A `[list]` of non-negative integers within `u32` range.
     U32List,
+    /// A `[list]` of positive integers.
+    CountList,
     /// A `[list]` of raw tokens.
     StrList,
 }
@@ -123,10 +127,12 @@ impl FieldKind {
         match self {
             FieldKind::F64 => "a number",
             FieldKind::U64 | FieldKind::U32 => "a non-negative integer",
+            FieldKind::Count => "a positive integer",
             FieldKind::Bool => "true or false",
             FieldKind::Str => "a scalar",
             FieldKind::F64List => "a `[list]` of numbers",
             FieldKind::U64List | FieldKind::U32List => "a `[list]` of non-negative integers",
+            FieldKind::CountList => "a `[list]` of positive integers",
             FieldKind::StrList => "a `[list]`",
         }
     }
@@ -136,34 +142,49 @@ impl FieldKind {
     /// # Errors
     ///
     /// Returns [`SpecError::Parse`] at the entry's source line when the
-    /// value does not match this kind.
+    /// value does not match this kind (a count of 0 included).
     pub fn check(self, section: &Section, key: &str) -> Result<(), SpecError> {
         let Some(entry) = section.get(key) else {
             return Ok(());
         };
         let shape_ok = match self {
-            FieldKind::F64 | FieldKind::U64 | FieldKind::U32 | FieldKind::Bool | FieldKind::Str => {
-                matches!(entry.value, SpecValue::Scalar(_))
-            }
-            FieldKind::F64List | FieldKind::U64List | FieldKind::U32List | FieldKind::StrList => {
-                matches!(entry.value, SpecValue::List(_))
-            }
+            FieldKind::F64
+            | FieldKind::U64
+            | FieldKind::U32
+            | FieldKind::Count
+            | FieldKind::Bool
+            | FieldKind::Str => matches!(entry.value, SpecValue::Scalar(_)),
+            FieldKind::F64List
+            | FieldKind::U64List
+            | FieldKind::U32List
+            | FieldKind::CountList
+            | FieldKind::StrList => matches!(entry.value, SpecValue::List(_)),
+        };
+        let mismatch = |found: &str| SpecError::Parse {
+            line: entry.line,
+            message: format!("`{key}` must be {}{found}", self.describe()),
         };
         if !shape_ok {
-            return Err(SpecError::Parse {
-                line: entry.line,
-                message: format!("`{key}` must be {}", self.describe()),
-            });
+            return Err(mismatch(""));
         }
+        let nonzero = |zero: bool| {
+            if zero {
+                Err(mismatch(", got 0"))
+            } else {
+                Ok(())
+            }
+        };
         match self {
             FieldKind::F64 => section.f64(key).map(drop),
             FieldKind::U64 => section.u64(key).map(drop),
             FieldKind::U32 => section.u32(key).map(drop),
+            FieldKind::Count => nonzero(section.u64(key)? == Some(0)),
             FieldKind::Bool => section.bool(key).map(drop),
             FieldKind::Str => Ok(()),
             FieldKind::F64List => section.f64_list(key).map(drop),
             FieldKind::U64List => section.u64_list(key).map(drop),
             FieldKind::U32List => section.u32_list(key).map(drop),
+            FieldKind::CountList => nonzero(section.u64_list(key)?.is_some_and(|v| v.contains(&0))),
             FieldKind::StrList => section.str_list(key).map(drop),
         }
     }
@@ -417,6 +438,8 @@ fn walk(path: &str, left: &Value, right: &Value, out: &mut Vec<DiffEntry>) {
 /// | `[opt u64]`  | `Option<u64>` | non-negative int, optional       |
 /// | `[u32]`      | `u32`         | `u32`-ranged int, with default   |
 /// | `[opt u32]`  | `Option<u32>` | `u32`-ranged int, optional       |
+/// | `[count]`    | `u64`         | positive int, with default       |
+/// | `[opt count]`| `Option<u64>` | positive int, optional           |
 /// | `[bool]`     | `bool`        | true/false, with default         |
 /// | `[opt bool]` | `Option<bool>`| true/false, optional             |
 /// | `[str]`      | `String`      | raw token, with `= default`      |
@@ -425,6 +448,7 @@ fn walk(path: &str, left: &Value, right: &Value, out: &mut Vec<DiffEntry>) {
 /// | `[list f64]` | `Vec<f64>`    | number list, empty when absent   |
 /// | `[list u64]` | `Vec<u64>`    | int list, empty when absent      |
 /// | `[list u32]` | `Vec<u32>`    | int list, empty when absent      |
+/// | `[list count]` | `Vec<u64>`  | positive-int list, empty when absent |
 /// | `[list str]` | `Vec<String>` | raw-token list, empty when absent|
 ///
 /// A field may rename its spec key with `as "key"` (for keys that are
@@ -517,6 +541,8 @@ macro_rules! reflect_field_ty {
     (opt u64) => { Option<u64> };
     (u32) => { u32 };
     (opt u32) => { Option<u32> };
+    (count) => { u64 };
+    (opt count) => { Option<u64> };
     (bool) => { bool };
     (opt bool) => { Option<bool> };
     (str) => { String };
@@ -525,6 +551,7 @@ macro_rules! reflect_field_ty {
     (list f64) => { Vec<f64> };
     (list u64) => { Vec<u64> };
     (list u32) => { Vec<u32> };
+    (list count) => { Vec<u64> };
     (list str) => { Vec<String> };
 }
 
@@ -550,6 +577,12 @@ macro_rules! reflect_field_kind {
     (opt u32) => {
         $crate::FieldKind::U32
     };
+    (count) => {
+        $crate::FieldKind::Count
+    };
+    (opt count) => {
+        $crate::FieldKind::Count
+    };
     (bool) => {
         $crate::FieldKind::Bool
     };
@@ -573,6 +606,9 @@ macro_rules! reflect_field_kind {
     };
     (list u32) => {
         $crate::FieldKind::U32List
+    };
+    (list count) => {
+        $crate::FieldKind::CountList
     };
     (list str) => {
         $crate::FieldKind::StrList
@@ -626,6 +662,12 @@ macro_rules! reflect_field_decode {
     ($section:expr, $key:expr, [opt u32]) => {
         $section.u32($key)?
     };
+    ($section:expr, $key:expr, [count] ($default:expr)) => {
+        $section.u64_or($key, $default)?
+    };
+    ($section:expr, $key:expr, [opt count]) => {
+        $section.u64($key)?
+    };
     ($section:expr, $key:expr, [bool] ($default:expr)) => {
         $section.bool_or($key, $default)?
     };
@@ -649,6 +691,9 @@ macro_rules! reflect_field_decode {
     };
     ($section:expr, $key:expr, [list u32]) => {
         $section.u32_list($key)?.unwrap_or_default()
+    };
+    ($section:expr, $key:expr, [list count]) => {
+        $section.u64_list($key)?.unwrap_or_default()
     };
     ($section:expr, $key:expr, [list str]) => {
         $section.str_list($key)?.unwrap_or_default()

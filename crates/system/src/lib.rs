@@ -10,8 +10,9 @@
 //!
 //! For whole-network sweeps, [`NetworkEngine`] amortizes the
 //! data-value-dependent energy tables across layers with equal value
-//! signatures and fans layer evaluation out over a scoped thread pool,
-//! producing bit-identical reports to the sequential path.
+//! signatures and fans layer evaluation out over
+//! [`cimloop_core::par_try_map`], producing bit-identical reports to the
+//! sequential path.
 //!
 //! # Example
 //!
@@ -34,14 +35,12 @@
 #![warn(clippy::print_stderr)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
 use cimloop_core::{
-    CoreError, EnergyTableCache, Evaluator, LayerReport, Representation, RunReport,
+    par_try_map, CoreError, EnergyTableCache, Evaluator, LayerReport, Representation, RunReport,
 };
 use cimloop_macros::ArrayMacro;
 use cimloop_spec::{Component, Hierarchy, Reuse, Tensor};
-use cimloop_workload::Workload;
+use cimloop_workload::{Layer, Workload};
 
 /// Where tensors live between uses (the three scenarios of paper Fig 15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -82,16 +81,19 @@ impl std::fmt::Display for StorageScenario {
     }
 }
 
+/// Global-buffer depth in 64-bit words (16 MiB): large enough to hold any
+/// tested layer's tensors, as in the paper.
+const GLB_ENTRIES: i64 = 2 * 1024 * 1024;
+
 /// A full CiM system: DRAM → global buffer → router → macro.
 ///
-/// The global buffer is sized to hold any tested layer's tensors (as in the
-/// paper), so inputs/outputs/weights transfer to/from DRAM at most once per
-/// layer.
+/// The global buffer (16 MiB) is sized to hold any tested layer's tensors
+/// (as in the paper), so inputs/outputs/weights transfer to/from DRAM at
+/// most once per layer.
 #[derive(Debug, Clone)]
 pub struct CimSystem {
     cim_macro: ArrayMacro,
     scenario: StorageScenario,
-    glb_entries: u64,
     dram_width: u32,
     router_width: u32,
 }
@@ -103,7 +105,6 @@ impl CimSystem {
         CimSystem {
             cim_macro,
             scenario: StorageScenario::default(),
-            glb_entries: 2 * 1024 * 1024, // × 64-bit words = 16 MiB
             dram_width: 64,
             router_width: 64,
         }
@@ -112,12 +113,6 @@ impl CimSystem {
     /// Sets the storage scenario.
     pub fn with_scenario(mut self, scenario: StorageScenario) -> Self {
         self.scenario = scenario;
-        self
-    }
-
-    /// Sets the global-buffer capacity in 64-bit words.
-    pub fn with_glb_entries(mut self, entries: u64) -> Self {
-        self.glb_entries = entries.max(1);
         self
     }
 
@@ -176,7 +171,7 @@ impl CimSystem {
         // the all-from-DRAM scenario.
         let mut glb = Component::new("global_buffer")
             .with_class("sram_buffer")
-            .with_attr("entries", self.glb_entries as i64)
+            .with_attr("entries", GLB_ENTRIES)
             .with_attr("width", 64i64)
             .with_attr("technology", node_nm)
             .with_reuse(Tensor::Inputs, Reuse::Temporal)
@@ -235,8 +230,8 @@ impl CimSystem {
 
 /// The amortized network-evaluation engine (paper Table II at network
 /// scale): evaluates whole workloads by sharing [`ActionEnergyTable`]s
-/// across layers with equal value signatures and fanning layers out over a
-/// scoped thread pool.
+/// across layers with equal value signatures and fanning layers out over
+/// [`par_try_map`], the one place evaluation threads are spawned.
 ///
 /// Results are **bit-identical** to the sequential, uncached
 /// [`Evaluator::evaluate`] path: the energy-table computation is
@@ -307,36 +302,10 @@ impl<'a> NetworkEngine<'a> {
         &self.cache
     }
 
-    /// The resolved worker count for a workload of `layers` layers.
-    fn resolved_threads(&self, layers: usize) -> usize {
-        let configured = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
-        configured.clamp(1, layers.max(1))
-    }
-
-    /// Evaluates one layer through the shared energy-table cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline, mapper, and dataflow errors.
-    pub fn evaluate_layer(
-        &self,
-        layer: &cimloop_workload::Layer,
-        rep: &Representation,
-    ) -> Result<LayerReport, CoreError> {
-        self.evaluator
-            .evaluate_layer_cached(layer, rep, &self.cache)
-    }
-
     /// Evaluates a whole workload, amortizing energy tables across layers
-    /// and parallelizing layer evaluation over the thread pool. The merged
-    /// report is deterministic: layers appear in workload order with
-    /// bit-identical numbers to the sequential path.
+    /// and fanning layers out over [`par_try_map`]. The merged report is
+    /// deterministic: layers appear in workload order with bit-identical
+    /// numbers to the sequential path.
     ///
     /// # Errors
     ///
@@ -350,50 +319,11 @@ impl<'a> NetworkEngine<'a> {
         rep: &Representation,
     ) -> Result<RunReport, CoreError> {
         let layers = workload.layers();
-        let threads = self.resolved_threads(layers.len());
-        if threads == 1 {
-            return self.evaluator.evaluate_cached(workload, rep, &self.cache);
-        }
-
-        // Work-stealing over layer indices: workers pull the next index
-        // from a shared counter and tag results with it, so the merge
-        // below is independent of scheduling. A failure aborts the sweep
-        // promptly instead of paying for the remaining layers.
-        let next = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let mut tagged: Vec<(usize, Result<LayerReport, CoreError>)> =
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for _ in 0..threads {
-                    let next = &next;
-                    let failed = &failed;
-                    let cache = &self.cache;
-                    let evaluator = self.evaluator;
-                    handles.push(scope.spawn(move || {
-                        let mut out = Vec::new();
-                        while !failed.load(Ordering::Relaxed) {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(layer) = layers.get(i) else { break };
-                            let result = evaluator.evaluate_layer_cached(layer, rep, cache);
-                            if result.is_err() {
-                                failed.store(true, Ordering::Relaxed);
-                            }
-                            out.push((i, result));
-                        }
-                        out
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("engine worker panicked"))
-                    .collect()
-            });
-
-        tagged.sort_by_key(|&(i, _)| i);
-        let mut merged = Vec::with_capacity(layers.len());
-        for (i, result) in tagged {
-            merged.push((layers[i].count(), result?));
-        }
+        let reports = par_try_map(self.threads, layers.len(), |i| {
+            self.evaluator
+                .evaluate_layer_cached(&layers[i], rep, &self.cache)
+        })?;
+        let merged = layers.iter().map(Layer::count).zip(reports).collect();
         Ok(RunReport::from_layer_reports(workload.name(), merged))
     }
 }
@@ -564,13 +494,17 @@ mod tests {
         let evaluator = m.raw_evaluator().unwrap();
         let rep = m.representation();
         let layer = small_layer();
+        let net = cimloop_workload::Workload::new("one", vec![layer.clone()]).unwrap();
         let engine = NetworkEngine::new(&evaluator);
-        let a = engine.evaluate_layer(&layer, &rep).unwrap();
-        let b = engine.evaluate_layer(&layer, &rep).unwrap();
+        let a = engine.evaluate_network(&net, &rep).unwrap();
+        let b = engine.evaluate_network(&net, &rep).unwrap();
         assert_eq!(a, b);
         assert_eq!(engine.cache().misses(), 1);
         assert_eq!(engine.cache().hits(), 1);
-        assert_eq!(a, evaluator.evaluate_layer(&layer, &rep).unwrap());
+        assert_eq!(
+            a.layers()[0].1,
+            evaluator.evaluate_layer(&layer, &rep).unwrap()
+        );
     }
 
     #[test]
