@@ -15,7 +15,7 @@ use cimloop_spec::{ArchitectureSpec, ScenarioDoc, Section, SpecError};
 use cimloop_system::{CimSystem, StorageScenario};
 use cimloop_workload::Workload;
 
-use crate::schema::ArchitectureSection;
+use crate::schema::{ArchitectureSection, ScenarioSection};
 use crate::CliError;
 
 /// What each evaluation runs as: the bare macro or the full system.
@@ -31,9 +31,11 @@ pub enum Scope {
 ///
 /// # Errors
 ///
-/// Returns a parse error on unknown scope or storage names.
+/// Returns a parse error when the section fails its schema, and a usage
+/// error on unknown scope or storage names.
 pub fn scope(section: &Section) -> Result<Scope, CliError> {
-    let storage = match section.str_or("storage", "weight_stationary") {
+    let header = ScenarioSection::decode(section)?;
+    let storage = match header.storage.as_str() {
         "all_dram" | "all_tensors_from_dram" => StorageScenario::AllTensorsFromDram,
         "weight_stationary" => StorageScenario::WeightStationary,
         "io_on_chip" => StorageScenario::IoOnChip,
@@ -44,7 +46,7 @@ pub fn scope(section: &Section) -> Result<Scope, CliError> {
             )))
         }
     };
-    match section.str_or("scope", "macro") {
+    match header.scope.as_str() {
         "macro" => Ok(Scope::Macro),
         "system" => Ok(Scope::System(storage)),
         other => Err(CliError::usage(format!(
@@ -76,16 +78,31 @@ fn encoding(name: &str) -> Result<Encoding, CliError> {
 ///
 /// # Errors
 ///
-/// Propagates parse, preset-lookup, import, and calibration errors, and
-/// returns a parse error at the section's line when the final DAC or cell
-/// width is outside what a [`Representation`] accepts, or at the key's
+/// Propagates parse, preset-lookup, and calibration errors, and returns a
+/// parse error at the section's line when the inline tree is not
+/// macro-shaped or the final DAC or cell width is outside what a
+/// [`Representation`] accepts, or at the key's
 /// line when `columns_per_group` or `operands` is 0 or exceeds the
 /// array's columns.
 pub fn architecture(doc: &ScenarioDoc, arch: &ArchitectureSpec) -> Result<ArrayMacro, CliError> {
     let s = &arch.settings;
     let view = ArchitectureSection::decode(s)?;
     let mut m = match (&arch.hierarchy, &view.macro_name) {
-        (Some(h), None) => ArrayMacro::from_hierarchy(h)?,
+        (Some(h), None) => ArrayMacro::from_hierarchy(h).map_err(|e| {
+            let reason = match e {
+                CoreError::Spec(SpecError::Parse { message, .. }) => message,
+                CoreError::Spec(other) => other.to_string(),
+                other => other.to_string(),
+            };
+            CliError::Spec(SpecError::Parse {
+                line: s.line(),
+                message: format!(
+                    "!Architecture: cannot import the inline component tree as a macro: \
+                     {reason}; the import expects a `<name>_macro` container with `dac` and \
+                     `cell` components and a `column` container"
+                ),
+            })
+        })?,
         (None, Some(key)) => cimloop_macros::preset(key).ok_or_else(|| {
             CliError::Spec(SpecError::Parse {
                 line: s.line(),

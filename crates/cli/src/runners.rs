@@ -31,6 +31,7 @@ use cimloop_workload::scenario::{display_name, zoo_model};
 use cimloop_workload::{Layer, LayerKind, Shape, Workload};
 
 use crate::resolve::{self, Scope};
+use crate::schema::ScenarioSection;
 use crate::{CliError, RunContext};
 
 fn table(doc: &ScenarioDoc, headers: &[&str]) -> Result<ExperimentTable, CliError> {
@@ -295,8 +296,8 @@ fn explorer_for(doc: &ScenarioDoc) -> Result<Explorer, CliError> {
         Scope::Macro => EvalScope::MacroOnly,
         Scope::System(storage) => EvalScope::System(storage),
     };
-    let name = doc.scenario().str_or("accuracy", "snr");
-    let accuracy = AccuracyObjective::parse(name).ok_or_else(|| {
+    let name = ScenarioSection::decode(doc.scenario())?.accuracy;
+    let accuracy = AccuracyObjective::parse(&name).ok_or_else(|| {
         CliError::usage(format!(
             "unknown accuracy objective `{name}` (expected snr, adc_coverage, or task_accuracy)"
         ))
@@ -321,7 +322,7 @@ fn front_table(
     // Under the task_accuracy objective the front carries the sampled
     // task accuracy; surface it as an extra column. Other objectives
     // keep the historic column set so their goldens stay byte-identical.
-    let task_accuracy = doc.scenario().str_or("accuracy", "snr") == "task_accuracy";
+    let task_accuracy = ScenarioSection::decode(doc.scenario())?.accuracy == "task_accuracy";
     let mut headers = vec![
         "design",
         "J/MAC",
@@ -415,7 +416,7 @@ pub fn dse_with(
     let space = space_for(doc)?;
     let net = resolve::workload(doc)?;
     let explorer = explorer_for(doc)?.with_cache(ctx.cache().clone());
-    let header = crate::schema::ScenarioSection::decode(doc.scenario())?;
+    let header = ScenarioSection::decode(doc.scenario())?;
     let mut plan = SweepPlan {
         staged: opts.staged.unwrap_or(header.staged),
         shard: opts.shard,
@@ -736,7 +737,7 @@ pub fn speed_record(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTab
         .ok_or_else(|| CliError::usage("scenario has no !Architecture section".to_owned()))?;
     let m = resolve::architecture(doc, arch)?;
     let net = resolve::workload(doc)?;
-    let header = crate::schema::ScenarioSection::decode(doc.scenario())?;
+    let header = ScenarioSection::decode(doc.scenario())?;
     let exact_layer_count = header.exact_layers as usize;
     let search_layers = header.search_layers as usize;
     let limit = header.mappings_per_layer as usize;

@@ -84,7 +84,7 @@ cimloop_spec::reflect_section! {
     /// generic sweep axes and the output_reuse controls; each runner
     /// requires the subset it consumes).
     pub struct SweepSection: "Sweep" {
-        variations: [list f64], "cell-variation sigma axis";
+        variations: [list sigma], "cell-variation sigma axis";
         adc_bits: [list u64], "ADC-resolution axis, bits";
         dac_bits: [list u64], "DAC-resolution axis, bits";
         square_arrays: [list count], "array-size axis: each n evaluates an nxn array";

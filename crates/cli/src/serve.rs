@@ -884,12 +884,17 @@ mod tests {
 
     #[test]
     fn runjson_request_is_byte_identical_to_run() {
+        // custom_macro carries an inline component tree, which JSON
+        // encodes as `{tag, entries}` node sections.
+        let custom = include_str!("../../../examples/specs/custom_macro.yaml");
         let ctx = RunContext::new();
-        let (name_y, tsv_y) = run_request(TINY_SPEC, SpecFormat::Yamlite, &ctx).unwrap();
-        let json = ScenarioDoc::parse(TINY_SPEC).unwrap().to_json();
-        let (name_j, tsv_j) = run_request(&json, SpecFormat::Json, &ctx).unwrap();
-        assert_eq!(name_y, name_j);
-        assert_eq!(tsv_y, tsv_j, "RUNJSON must serve the batch TSV bytes");
+        for spec in [TINY_SPEC, custom] {
+            let (name_y, tsv_y) = run_request(spec, SpecFormat::Yamlite, &ctx).unwrap();
+            let json = ScenarioDoc::parse(spec).unwrap().to_json();
+            let (name_j, tsv_j) = run_request(&json, SpecFormat::Json, &ctx).unwrap();
+            assert_eq!(name_y, name_j);
+            assert_eq!(tsv_y, tsv_j, "RUNJSON must serve the batch TSV bytes");
+        }
     }
 
     /// A fake daemon that accepts one connection, reads the request

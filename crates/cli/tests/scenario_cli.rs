@@ -563,8 +563,9 @@ fn out_of_range_widths_and_counts_are_line_numbered_errors() {
     // a zero or oversized count was silently clamped into range and the
     // clamped design evaluated. Both architecture paths, an inline
     // component tree and a preset override, must fail at the
-    // `!Architecture` line for a bad width, a count at its key's line,
-    // and a `!Space` or `!Sweep` axis at the axis's own line.
+    // `!Architecture` line for a bad width or tree shape, a count or
+    // sigma at its key's line, and a `!Space` or `!Sweep` axis at the
+    // axis's own line.
     let read = |name: &str| {
         std::fs::read_to_string(repo_root().join("examples/specs").join(name))
             .expect("committed spec exists")
@@ -598,6 +599,54 @@ fn out_of_range_widths_and_counts_are_line_numbered_errors() {
         let spec = custom.replacen("\nbits: 2\n", &format!("\nbits: {bits}\n"), 1);
         cases.push((spec, "!Architecture", "cell_bits"));
     }
+    // A tree that is not macro-shaped used to fail with no line at all.
+    let renamed = custom.replacen("name: custom_macro\n", "name: custom_array\n", 1);
+    cases.push((renamed, "!Architecture", "_macro"));
+    // Zero workload counts used to be clamped to 1, and negative or
+    // non-finite sigmas zeroed, so each evaluated as another design.
+    let sections = |body: &str| {
+        format!(
+            "!Scenario\nname: zero\nexperiment: evaluate\n\
+             !Architecture\nmacro: base\n{body}\n"
+        )
+    };
+    for (body, key) in [
+        ("!Workload\nmodel: mvm\nrows: 0", "rows"),
+        ("!Workload\nmodel: mvm\ncols: 0", "cols"),
+        ("!Workload\nmodel: mvm\nbatch: 0", "batch"),
+        ("!Workload\nmodel: resnet18\nprefix: 0", "prefix"),
+        (
+            "!Workload\nname: tiny\n!Layer\nname: fc\nkind: linear\nk: 8\nc: 8\ncount: 0",
+            "count",
+        ),
+        (
+            "!Workload\nmodel: mvm\n!Noise\ncell_variation: inf",
+            "cell_variation",
+        ),
+        (
+            "!Workload\nmodel: mvm\n!Noise\nread_noise: nan",
+            "read_noise",
+        ),
+        (
+            "!Workload\nmodel: mvm\n!Noise\nadc_offset: -0.5",
+            "adc_offset",
+        ),
+    ] {
+        let cited = body.lines().last().expect("one key line");
+        cases.push((sections(body), cited, key));
+    }
+    let sweep_sigma = read("fig09_noise.yaml").replacen(
+        "variations: [0.00, 0.05, 0.10, 0.20]",
+        "variations: [0.0, -0.5, nan, 0.5]",
+        1,
+    );
+    cases.push((
+        sweep_sigma,
+        "variations: [0.0, -0.5, nan, 0.5]",
+        "variations",
+    ));
+    let space_sigma = grid.replacen("variations: [0.0, 0.05, 0.1]", "variations: [-0.1, 0.1]", 1);
+    cases.push((space_sigma, "variations: [-0.1, 0.1]", "variations"));
     for (settings, key) in [
         ("rows: 0", "rows"),
         ("cols: 0", "cols"),

@@ -23,7 +23,7 @@ cimloop_spec::reflect_section! {
         dac_bits: [list u32], "DAC-resolution axis, bits";
         adc_bits: [list u32], "ADC-resolution axis, bits";
         cell_bits: [list u32], "cell bit-width axis";
-        variations: [list f64], "cell-variation sigma axis, realized as a NoiseSpec axis";
+        variations: [list sigma], "cell-variation sigma axis, realized as a NoiseSpec axis";
         max_area_mm2: [opt f64], "stage-one screen: drop candidates whose total area exceeds this, mm2";
         min_coverage: [opt f64], "stage-one screen: drop candidates whose ADC coverage proxy falls below this, in [0, 1]";
     }

@@ -115,12 +115,13 @@ impl NoiseSpec {
 
 cimloop_spec::reflect_section! {
     /// The reflected schema of a `!Noise` scenario section (the typed
-    /// view the generic schema walk decodes into; [`NoiseSpec`] is
-    /// built from it through the sanitizing builders).
+    /// view the generic schema walk decodes into; a negative or
+    /// non-finite sigma fails there at its line, where the builders
+    /// would clamp it to zero).
     pub struct NoiseSection: "Noise" {
-        cell_variation: [f64] = 0.0, "relative per-cell conductance/programming variation sigma";
-        read_noise: [f64] = 0.0, "column read-noise sigma, as a fraction of full scale";
-        adc_offset: [f64] = 0.0, "ADC input-offset sigma, in LSBs";
+        cell_variation: [sigma] = 0.0, "relative per-cell conductance/programming variation sigma";
+        read_noise: [sigma] = 0.0, "column read-noise sigma, as a fraction of full scale";
+        adc_offset: [sigma] = 0.0, "ADC input-offset sigma, in LSBs";
     }
 }
 
@@ -148,10 +149,10 @@ impl NoiseSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`cimloop_spec::SpecError::Parse`] on non-numeric sigmas or
-    /// unknown keys (a typo'd sigma silently defaulting to zero would be
-    /// exactly the failure mode this crate exists to model); unknown keys
-    /// name the nearest valid field.
+    /// Returns [`cimloop_spec::SpecError::Parse`] on non-numeric, negative
+    /// or non-finite sigmas or unknown keys (a typo'd or invalid sigma
+    /// silently becoming zero would be exactly the failure mode this
+    /// crate exists to model); unknown keys name the nearest valid field.
     pub fn from_section(section: &cimloop_spec::Section) -> Result<Self, cimloop_spec::SpecError> {
         let view = NoiseSection::decode(section)?;
         Ok(NoiseSpec::new()
@@ -222,6 +223,18 @@ mod tests {
             cimloop_spec::ScenarioDoc::parse("!Scenario\nname: n\n!Noise\nread_noise: lots\n")
                 .unwrap();
         assert!(NoiseSpec::from_section(doc.section("Noise").unwrap()).is_err());
+
+        // Regression: these used to be clamped to an ideal spec.
+        for value in ["cell_variation: inf", "adc_offset: -0.5", "read_noise: nan"] {
+            let doc =
+                cimloop_spec::ScenarioDoc::parse(&format!("!Scenario\nname: n\n!Noise\n{value}\n"))
+                    .unwrap();
+            let err = NoiseSpec::from_section(doc.section("Noise").unwrap()).unwrap_err();
+            assert!(
+                matches!(err, cimloop_spec::SpecError::Parse { line: 4, .. }),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -105,6 +105,8 @@ pub enum FieldKind {
     U32,
     /// A positive integer scalar: a count, where 0 is an error.
     Count,
+    /// A finite, non-negative number: a noise sigma.
+    Sigma,
     /// A `true`/`false` scalar.
     Bool,
     /// Any scalar, kept as its raw token.
@@ -117,6 +119,8 @@ pub enum FieldKind {
     U32List,
     /// A `[list]` of positive integers.
     CountList,
+    /// A `[list]` of finite, non-negative numbers.
+    SigmaList,
     /// A `[list]` of raw tokens.
     StrList,
 }
@@ -128,11 +132,13 @@ impl FieldKind {
             FieldKind::F64 => "a number",
             FieldKind::U64 | FieldKind::U32 => "a non-negative integer",
             FieldKind::Count => "a positive integer",
+            FieldKind::Sigma => "a finite number >= 0",
             FieldKind::Bool => "true or false",
             FieldKind::Str => "a scalar",
             FieldKind::F64List => "a `[list]` of numbers",
             FieldKind::U64List | FieldKind::U32List => "a `[list]` of non-negative integers",
             FieldKind::CountList => "a `[list]` of positive integers",
+            FieldKind::SigmaList => "a `[list]` of finite numbers >= 0",
             FieldKind::StrList => "a `[list]`",
         }
     }
@@ -142,7 +148,8 @@ impl FieldKind {
     /// # Errors
     ///
     /// Returns [`SpecError::Parse`] at the entry's source line when the
-    /// value does not match this kind (a count of 0 included).
+    /// value does not match this kind (a count of 0 and a negative or
+    /// non-finite sigma included).
     pub fn check(self, section: &Section, key: &str) -> Result<(), SpecError> {
         let Some(entry) = section.get(key) else {
             return Ok(());
@@ -152,12 +159,14 @@ impl FieldKind {
             | FieldKind::U64
             | FieldKind::U32
             | FieldKind::Count
+            | FieldKind::Sigma
             | FieldKind::Bool
             | FieldKind::Str => matches!(entry.value, SpecValue::Scalar(_)),
             FieldKind::F64List
             | FieldKind::U64List
             | FieldKind::U32List
             | FieldKind::CountList
+            | FieldKind::SigmaList
             | FieldKind::StrList => matches!(entry.value, SpecValue::List(_)),
         };
         let mismatch = |found: &str| SpecError::Parse {
@@ -174,17 +183,28 @@ impl FieldKind {
                 Ok(())
             }
         };
+        let sigma = |bad: Option<f64>| match bad {
+            Some(v) => Err(mismatch(&format!(", got {v}"))),
+            None => Ok(()),
+        };
+        let not_sigma = |v: &f64| !(v.is_finite() && *v >= 0.0);
         match self {
             FieldKind::F64 => section.f64(key).map(drop),
             FieldKind::U64 => section.u64(key).map(drop),
             FieldKind::U32 => section.u32(key).map(drop),
             FieldKind::Count => nonzero(section.u64(key)? == Some(0)),
+            FieldKind::Sigma => sigma(section.f64(key)?.filter(not_sigma)),
             FieldKind::Bool => section.bool(key).map(drop),
             FieldKind::Str => Ok(()),
             FieldKind::F64List => section.f64_list(key).map(drop),
             FieldKind::U64List => section.u64_list(key).map(drop),
             FieldKind::U32List => section.u32_list(key).map(drop),
             FieldKind::CountList => nonzero(section.u64_list(key)?.is_some_and(|v| v.contains(&0))),
+            FieldKind::SigmaList => sigma(
+                section
+                    .f64_list(key)?
+                    .and_then(|v| v.into_iter().find(not_sigma)),
+            ),
             FieldKind::StrList => section.str_list(key).map(drop),
         }
     }
@@ -440,6 +460,7 @@ fn walk(path: &str, left: &Value, right: &Value, out: &mut Vec<DiffEntry>) {
 /// | `[opt u32]`  | `Option<u32>` | `u32`-ranged int, optional       |
 /// | `[count]`    | `u64`         | positive int, with default       |
 /// | `[opt count]`| `Option<u64>` | positive int, optional           |
+/// | `[sigma]`    | `f64`         | finite number >= 0, with default |
 /// | `[bool]`     | `bool`        | true/false, with default         |
 /// | `[opt bool]` | `Option<bool>`| true/false, optional             |
 /// | `[str]`      | `String`      | raw token, with `= default`      |
@@ -449,6 +470,7 @@ fn walk(path: &str, left: &Value, right: &Value, out: &mut Vec<DiffEntry>) {
 /// | `[list u64]` | `Vec<u64>`    | int list, empty when absent      |
 /// | `[list u32]` | `Vec<u32>`    | int list, empty when absent      |
 /// | `[list count]` | `Vec<u64>`  | positive-int list, empty when absent |
+/// | `[list sigma]` | `Vec<f64>`  | list of finite numbers >= 0      |
 /// | `[list str]` | `Vec<String>` | raw-token list, empty when absent|
 ///
 /// A field may rename its spec key with `as "key"` (for keys that are
@@ -543,6 +565,7 @@ macro_rules! reflect_field_ty {
     (opt u32) => { Option<u32> };
     (count) => { u64 };
     (opt count) => { Option<u64> };
+    (sigma) => { f64 };
     (bool) => { bool };
     (opt bool) => { Option<bool> };
     (str) => { String };
@@ -552,6 +575,7 @@ macro_rules! reflect_field_ty {
     (list u64) => { Vec<u64> };
     (list u32) => { Vec<u32> };
     (list count) => { Vec<u64> };
+    (list sigma) => { Vec<f64> };
     (list str) => { Vec<String> };
 }
 
@@ -583,6 +607,9 @@ macro_rules! reflect_field_kind {
     (opt count) => {
         $crate::FieldKind::Count
     };
+    (sigma) => {
+        $crate::FieldKind::Sigma
+    };
     (bool) => {
         $crate::FieldKind::Bool
     };
@@ -609,6 +636,9 @@ macro_rules! reflect_field_kind {
     };
     (list count) => {
         $crate::FieldKind::CountList
+    };
+    (list sigma) => {
+        $crate::FieldKind::SigmaList
     };
     (list str) => {
         $crate::FieldKind::StrList
@@ -668,6 +698,9 @@ macro_rules! reflect_field_decode {
     ($section:expr, $key:expr, [opt count]) => {
         $section.u64($key)?
     };
+    ($section:expr, $key:expr, [sigma] ($default:expr)) => {
+        $section.f64($key)?.unwrap_or($default)
+    };
     ($section:expr, $key:expr, [bool] ($default:expr)) => {
         $section.bool_or($key, $default)?
     };
@@ -694,6 +727,9 @@ macro_rules! reflect_field_decode {
     };
     ($section:expr, $key:expr, [list count]) => {
         $section.u64_list($key)?.unwrap_or_default()
+    };
+    ($section:expr, $key:expr, [list sigma]) => {
+        $section.f64_list($key)?.unwrap_or_default()
     };
     ($section:expr, $key:expr, [list str]) => {
         $section.str_list($key)?.unwrap_or_default()

@@ -3,8 +3,7 @@
 //! A *scenario* is a full experiment description: architecture (a macro
 //! preset with overrides, or an inline component tree), workload selection
 //! (zoo model or custom layer shapes), non-ideality spec, design-space
-//! axes, and run configuration. Where [`crate::yamlite`] parses a single
-//! component tree, this module parses whole documents of tagged sections:
+//! axes, and run configuration, as a document of tagged sections:
 //!
 //! ```text
 //! !Scenario                 # run configuration (required, first)
@@ -22,6 +21,13 @@
 //! cell_variation: 0.1
 //! ```
 //!
+//! One tokenizer splits every `!Tag` block into a line-numbered
+//! [`Section`] in a single pass, component-tree nodes included: a run of
+//! `!Component`/`!Container` sections is the inline tree of the
+//! `!Architecture` before it, and [`crate::yamlite`]'s node codec turns
+//! each of them into a [`crate::Node`] (and back). In JSON a tree node is
+//! the same `{tag, entries}` section as every other section.
+//!
 //! The section *structure* is parsed here; the domain crates interpret
 //! their own sections (`cimloop-workload` parses `!Workload`/`!Layer`,
 //! `cimloop-noise` parses `!Noise`, `cimloop-dse` parses `!Space`, and
@@ -34,13 +40,9 @@
 //! wrote (`0.10` stays `0.10`, not `0.1`).
 
 use crate::json;
-use crate::reflect::{unknown_key_message, Value};
-use crate::yamlite;
-use crate::{AttrValue, Component, Container, Hierarchy, Node, Reuse, Spatial, SpecError, Tensor};
-
-/// Section tags that open an inline yamlite component tree rather than a
-/// key-value section.
-const NODE_TAGS: [&str; 2] = ["Component", "Container"];
+use crate::reflect::Value;
+use crate::yamlite::{self, NODE_TAGS};
+use crate::{AttrValue, Hierarchy, SpecError};
 
 /// A scalar with both its parsed value and its raw source token.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,6 +106,14 @@ pub struct Section {
 }
 
 impl Section {
+    pub(crate) fn new(tag: &str, line: usize, entries: Vec<Entry>) -> Self {
+        Section {
+            tag: tag.to_owned(),
+            line,
+            entries,
+        }
+    }
+
     /// The section's tag (without the `!`).
     pub fn tag(&self) -> &str {
         &self.tag
@@ -381,12 +391,72 @@ impl Section {
                 line: 0,
             });
         }
-        Ok(Section {
-            tag: tag.to_owned(),
-            line: 0,
-            entries,
-        })
+        Ok(Section::new(tag, 0, entries))
     }
+
+    /// The section as a reflected `{tag, entries}` map.
+    fn tagged_value(&self) -> Value {
+        let mut m = Value::map();
+        m.insert("tag", Value::scalar(&self.tag));
+        m.insert("entries", self.value());
+        m
+    }
+
+    /// Rebuilds a section from a reflected `{tag, entries}` map.
+    fn from_tagged_value(item: &Value) -> Result<Section, SpecError> {
+        let tag = item
+            .get("tag")
+            .and_then(Value::raw)
+            .ok_or_else(|| err0("section is missing a scalar `tag`"))?;
+        let entries = item
+            .get("entries")
+            .ok_or_else(|| err0(format!("section !{tag} is missing `entries`")))?;
+        Section::from_value(tag, entries)
+    }
+}
+
+/// Splits yamlite text into its `!Tag` sections in one pass over the
+/// lines. Every `key: value` line joins the section opened most recently;
+/// blank lines and `#` comments are skipped.
+///
+/// # Errors
+///
+/// Returns [`SpecError::Parse`] at the offending line for a line that is
+/// not `key: value`, an entry before any tag, a key repeated within one
+/// section, or a malformed `[list]`/`{ map }`.
+pub(crate) fn tokenize(text: &str) -> Result<Vec<Section>, SpecError> {
+    let mut sections: Vec<Section> = Vec::new();
+    for (idx, raw) in text.lines().enumerate() {
+        let line_no = idx + 1;
+        let line = yamlite::strip_comment(raw).trim();
+        if line.is_empty() {
+            continue;
+        }
+        if let Some(tag) = line.strip_prefix('!') {
+            sections.push(Section::new(tag.trim(), line_no, Vec::new()));
+            continue;
+        }
+        let (key, value) = yamlite::split_key_value(line, line_no)?;
+        let Some(section) = sections.last_mut() else {
+            return Err(SpecError::Parse {
+                line: line_no,
+                message: format!("`{key}` appears before any !Section tag"),
+            });
+        };
+        if section.contains(key) {
+            return Err(SpecError::Parse {
+                line: line_no,
+                message: format!("duplicate key `{key}` in section !{}", section.tag),
+            });
+        }
+        let value = parse_value(value, line_no)?;
+        section.entries.push(Entry {
+            key: key.to_owned(),
+            value,
+            line: line_no,
+        });
+    }
+    Ok(sections)
 }
 
 fn err0(message: impl Into<String>) -> SpecError {
@@ -464,131 +534,45 @@ impl ScenarioDoc {
     /// Returns [`SpecError::Parse`] with a 1-based line number on
     /// malformed input, on duplicate keys within a section, or when the
     /// required `!Scenario` section is missing; inline component trees
-    /// additionally surface [`crate::yamlite::parse`] errors.
+    /// additionally surface the node decoder's errors and
+    /// [`Hierarchy::from_nodes`] validation errors.
     pub fn parse(text: &str) -> Result<Self, SpecError> {
         let mut sections: Vec<Section> = Vec::new();
         let mut architectures: Vec<ArchitectureSpec> = Vec::new();
-        // An inline component tree in progress: raw yamlite lines, the
-        // 1-based line offset of the first buffered line (for error
-        // mapping back to document coordinates), and the index into
-        // `architectures` the tree belongs to. Carrying the owner inside
-        // the buffer makes an ownerless tree unrepresentable — a tree
-        // only ever starts after its owning !Architecture is checked in.
-        let mut tree: Option<(Vec<String>, usize, usize)> = None;
-
-        let flush_tree = |tree: &mut Option<(Vec<String>, usize, usize)>,
-                          architectures: &mut Vec<ArchitectureSpec>|
-         -> Result<(), SpecError> {
-            if let Some((lines, offset, owner)) = tree.take() {
-                let text = lines.join("\n");
-                let hierarchy = yamlite::parse(&text).map_err(|e| match e {
-                    SpecError::Parse { line, message } => SpecError::Parse {
-                        line: line + offset - 1,
-                        message,
-                    },
-                    other => other,
-                })?;
-                architectures[owner].hierarchy = Some(hierarchy);
-            }
-            Ok(())
-        };
-
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = yamlite::strip_comment(raw).trim();
-            if line.is_empty() {
-                // Keep blank/comment-only lines as placeholders in an
-                // in-progress component tree, so yamlite errors map back
-                // to the right document line.
-                if let Some((lines, ..)) = &mut tree {
-                    lines.push(String::new());
-                }
-                continue;
-            }
-            if let Some(tag) = line.strip_prefix('!') {
-                let tag = tag.trim();
-                if NODE_TAGS.contains(&tag) {
-                    // An inline component tree; it attaches to the most
-                    // recent !Architecture section.
-                    if tree.is_none() {
-                        let Some(owner) = architectures.len().checked_sub(1) else {
-                            return Err(SpecError::Parse {
-                                line: line_no,
-                                message: format!(
-                                    "`!{tag}` component tree must follow an !Architecture section"
-                                ),
-                            });
-                        };
-                        if architectures[owner].hierarchy.is_some() {
-                            return Err(SpecError::Parse {
-                                line: line_no,
-                                message: "architecture already has a component tree".to_owned(),
-                            });
-                        }
-                        tree = Some((Vec::new(), line_no, owner));
-                    }
-                    if let Some((lines, ..)) = &mut tree {
-                        lines.push(line.to_owned());
-                    }
-                    continue;
-                }
-                flush_tree(&mut tree, &mut architectures)?;
-                let section = Section {
-                    tag: tag.to_owned(),
-                    line: line_no,
-                    entries: Vec::new(),
-                };
-                if tag == "Architecture" {
-                    architectures.push(ArchitectureSpec {
-                        settings: section,
-                        hierarchy: None,
-                    });
-                } else {
-                    sections.push(section);
-                }
-                continue;
-            }
-            if let Some((lines, ..)) = &mut tree {
-                lines.push(line.to_owned());
-                continue;
-            }
-            let (key, value) = yamlite::split_key_value(line, line_no)?;
-            // Entries attach to whichever section (architecture or plain)
-            // opened most recently in the document. Matching on the
-            // `last_mut()` borrows directly (instead of re-indexing after
-            // a line comparison) keeps this total: a headerless attribute
-            // line is a line-numbered parse error, never a panic.
-            let target: &mut Section = match (architectures.last_mut(), sections.last_mut()) {
-                (Some(arch), Some(plain)) => {
-                    if arch.settings.line > plain.line {
-                        &mut arch.settings
-                    } else {
-                        plain
-                    }
-                }
-                (Some(arch), None) => &mut arch.settings,
-                (None, Some(plain)) => plain,
-                (None, None) => {
+        let mut tokens = tokenize(text)?.into_iter().peekable();
+        while let Some(section) = tokens.next() {
+            if NODE_TAGS.contains(&section.tag()) {
+                // A run of node sections is one inline component tree; it
+                // attaches to the most recent !Architecture section.
+                let Some(owner) = architectures.last_mut() else {
                     return Err(SpecError::Parse {
-                        line: line_no,
-                        message: format!("`{key}` appears before any !Section tag"),
-                    })
+                        line: section.line,
+                        message: format!(
+                            "`!{}` component tree must follow an !Architecture section",
+                            section.tag
+                        ),
+                    });
+                };
+                if owner.hierarchy.is_some() {
+                    return Err(SpecError::Parse {
+                        line: section.line,
+                        message: "architecture already has a component tree".to_owned(),
+                    });
                 }
-            };
-            if target.contains(key) {
-                return Err(SpecError::Parse {
-                    line: line_no,
-                    message: format!("duplicate key `{key}` in section !{}", target.tag),
+                let mut nodes = vec![yamlite::node_from_section(&section)?];
+                while let Some(node) = tokens.next_if(|s| NODE_TAGS.contains(&s.tag())) {
+                    nodes.push(yamlite::node_from_section(&node)?);
+                }
+                owner.hierarchy = Some(Hierarchy::from_nodes(nodes)?);
+            } else if section.tag == "Architecture" {
+                architectures.push(ArchitectureSpec {
+                    settings: section,
+                    hierarchy: None,
                 });
+            } else {
+                sections.push(section);
             }
-            let value = parse_value(value, line_no)?;
-            target.entries.push(Entry {
-                key: key.to_owned(),
-                value,
-                line: line_no,
-            });
         }
-        flush_tree(&mut tree, &mut architectures)?;
 
         let scenario_idx = sections
             .iter()
@@ -689,7 +673,11 @@ impl ScenarioDoc {
                         let mut m = Value::map();
                         m.insert("settings", arch.settings.value());
                         if let Some(h) = &arch.hierarchy {
-                            m.insert("hierarchy", hierarchy_to_value(h));
+                            let nodes = h
+                                .nodes()
+                                .iter()
+                                .map(|node| yamlite::node_to_section(node).tagged_value());
+                            m.insert("hierarchy", Value::List(nodes.collect()));
                         }
                         m
                     })
@@ -698,17 +686,7 @@ impl ScenarioDoc {
         );
         root.insert(
             "sections",
-            Value::List(
-                self.sections
-                    .iter()
-                    .map(|section| {
-                        let mut m = Value::map();
-                        m.insert("tag", Value::scalar(&section.tag));
-                        m.insert("entries", section.value());
-                        m
-                    })
-                    .collect(),
-            ),
+            Value::List(self.sections.iter().map(Section::tagged_value).collect()),
         );
         root
     }
@@ -775,19 +753,14 @@ impl ScenarioDoc {
                 .items()
                 .ok_or_else(|| err0("`sections` must be a list"))?;
             for item in items {
-                let tag = item
-                    .get("tag")
-                    .and_then(Value::raw)
-                    .ok_or_else(|| err0("section is missing a scalar `tag`"))?;
+                let section = Section::from_tagged_value(item)?;
+                let tag = section.tag();
                 if tag == "Scenario" || tag == "Architecture" || NODE_TAGS.contains(&tag) {
                     return Err(err0(format!(
                         "section tag `{tag}` is reserved (use the scenario/architectures keys)"
                     )));
                 }
-                let entries = item
-                    .get("entries")
-                    .ok_or_else(|| err0(format!("section !{tag} is missing `entries`")))?;
-                sections.push(Section::from_value(tag, entries)?);
+                sections.push(section);
             }
         }
         Ok(ScenarioDoc {
@@ -817,7 +790,7 @@ impl ScenarioDoc {
     }
 }
 
-fn write_section(out: &mut String, section: &Section) {
+pub(crate) fn write_section(out: &mut String, section: &Section) {
     out.push('!');
     out.push_str(&section.tag);
     out.push('\n');
@@ -849,215 +822,24 @@ fn write_section(out: &mut String, section: &Section) {
     }
 }
 
-const NODE_KINDS: [(&str, Reuse); 3] = [
-    ("temporal_reuse", Reuse::Temporal),
-    ("coalesce", Reuse::Coalesce),
-    ("no_coalesce", Reuse::NoCoalesce),
-];
-
-fn hierarchy_to_value(hierarchy: &Hierarchy) -> Value {
-    let mut nodes = Vec::new();
-    for node in hierarchy.nodes() {
-        let mut m = Value::map();
-        match node {
-            Node::Component(c) => {
-                m.insert("node", Value::scalar("Component"));
-                m.insert("name", Value::scalar(c.name()));
-                if !c.class().is_empty() {
-                    m.insert("class", Value::scalar(c.class()));
-                }
-                for (key, reuse) in NODE_KINDS {
-                    let tensors: Vec<Value> = Tensor::ALL
-                        .into_iter()
-                        .filter(|&t| c.reuse(t) == reuse)
-                        .map(|t| Value::scalar(t.name()))
-                        .collect();
-                    if !tensors.is_empty() {
-                        m.insert(key, Value::List(tensors));
-                    }
-                }
-                push_spatial(&mut m, c.spatial(), |t| c.spatial_reuse(t));
-                push_attrs(&mut m, c.attributes());
-            }
-            Node::Container(c) => {
-                m.insert("node", Value::scalar("Container"));
-                m.insert("name", Value::scalar(c.name()));
-                push_spatial(&mut m, c.spatial(), |t| c.spatial_reuse(t));
-                push_attrs(&mut m, c.attributes());
-            }
-        }
-        nodes.push(m);
-    }
-    Value::List(nodes)
-}
-
-fn push_spatial(m: &mut Value, spatial: Spatial, reused: impl Fn(Tensor) -> bool) {
-    if spatial.fanout() > 1 {
-        let mut sp = Value::map();
-        sp.insert("meshX", Value::scalar(&spatial.mesh_x.to_string()));
-        sp.insert("meshY", Value::scalar(&spatial.mesh_y.to_string()));
-        m.insert("spatial", sp);
-    }
-    let tensors: Vec<Value> = Tensor::ALL
-        .into_iter()
-        .filter(|&t| reused(t))
-        .map(|t| Value::scalar(t.name()))
-        .collect();
-    if !tensors.is_empty() {
-        m.insert("spatial_reuse", Value::List(tensors));
-    }
-}
-
-fn push_attrs(m: &mut Value, attrs: &crate::Attributes) {
-    let pairs: Vec<(String, Value)> = attrs
-        .iter()
-        .map(|(k, v)| (k.to_owned(), Value::scalar(&yamlite::attr_to_text(v))))
-        .collect();
-    if !pairs.is_empty() {
-        m.insert("attributes", Value::Map(pairs));
-    }
-}
-
 fn hierarchy_from_value(value: &Value) -> Result<Hierarchy, SpecError> {
     let items = value
         .items()
         .ok_or_else(|| err0("`hierarchy` must be a list of nodes"))?;
-    let nodes = items
-        .iter()
-        .map(node_from_value)
-        .collect::<Result<Vec<Node>, _>>()?;
+    let mut nodes = Vec::with_capacity(items.len());
+    for item in items {
+        let section = match (item, item.get("node").and_then(Value::raw)) {
+            // The older node shape, `{node: Component, name: …,
+            // attributes: {…}}`, is the node's entries with its tag inline.
+            (Value::Map(pairs), Some(tag)) => {
+                let entries = pairs.iter().filter(|(key, _)| key != "node").cloned();
+                Section::from_value(tag, &Value::Map(entries.collect()))?
+            }
+            _ => Section::from_tagged_value(item)?,
+        };
+        nodes.push(yamlite::node_from_section(&section)?);
+    }
     Hierarchy::from_nodes(nodes)
-}
-
-fn node_from_value(value: &Value) -> Result<Node, SpecError> {
-    const COMPONENT_KEYS: [&str; 8] = [
-        "node",
-        "name",
-        "class",
-        "temporal_reuse",
-        "coalesce",
-        "no_coalesce",
-        "spatial",
-        "spatial_reuse",
-    ];
-    const CONTAINER_KEYS: [&str; 4] = ["node", "name", "spatial", "spatial_reuse"];
-    let Value::Map(pairs) = value else {
-        return Err(err0("hierarchy node must be a map"));
-    };
-    let kind = value
-        .get("node")
-        .and_then(Value::raw)
-        .ok_or_else(|| err0("hierarchy node is missing `node` (Component or Container)"))?;
-    let name = value
-        .get("name")
-        .and_then(Value::raw)
-        .ok_or_else(|| err0("hierarchy node is missing `name`"))?;
-
-    let valid: &[&str] = match kind {
-        "Component" => &COMPONENT_KEYS,
-        "Container" => &CONTAINER_KEYS,
-        other => {
-            return Err(err0(format!(
-                "unknown node kind `{other}` (expected Component or Container)"
-            )))
-        }
-    };
-    for (key, _) in pairs {
-        if !valid.contains(&key.as_str()) && key != "attributes" {
-            return Err(err0(unknown_key_message(
-                key,
-                kind,
-                valid.iter().copied().chain(std::iter::once("attributes")),
-            )));
-        }
-    }
-
-    let mut spatial = Spatial::UNIT;
-    if let Some(sp) = value.get("spatial") {
-        let Value::Map(sp_pairs) = sp else {
-            return Err(err0("`spatial` must be a map"));
-        };
-        for (key, v) in sp_pairs {
-            let n = v
-                .raw()
-                .and_then(|raw| raw.parse::<u64>().ok())
-                .filter(|&n| n > 0)
-                .ok_or_else(|| err0("mesh size must be a positive integer"))?;
-            match key.as_str() {
-                "meshX" | "mesh_x" => spatial.mesh_x = n,
-                "meshY" | "mesh_y" => spatial.mesh_y = n,
-                other => return Err(err0(format!("unknown spatial key `{other}`"))),
-            }
-        }
-    }
-    let tensors = |key: &str| -> Result<Vec<Tensor>, SpecError> {
-        let Some(v) = value.get(key) else {
-            return Ok(Vec::new());
-        };
-        let items = v
-            .items()
-            .ok_or_else(|| err0(format!("`{key}` must be a list of tensors")))?;
-        items
-            .iter()
-            .map(|item| {
-                item.raw().and_then(Tensor::parse).ok_or_else(|| {
-                    err0(format!(
-                        "unknown tensor in `{key}` (expected Inputs/Weights/Outputs)"
-                    ))
-                })
-            })
-            .collect()
-    };
-    let attrs = collect_attrs(value)?;
-
-    match kind {
-        "Component" => {
-            let mut c = Component::new(name);
-            if let Some(class) = value.get("class").and_then(Value::raw) {
-                c = c.with_class(class);
-            }
-            for (key, reuse) in NODE_KINDS {
-                for tensor in tensors(key)? {
-                    c = c.with_reuse(tensor, reuse);
-                }
-            }
-            c = c.with_spatial(spatial);
-            for tensor in tensors("spatial_reuse")? {
-                c = c.with_spatial_reuse(tensor);
-            }
-            for (k, v) in attrs {
-                c = c.with_attr(k, v);
-            }
-            Ok(Node::Component(c))
-        }
-        _ => {
-            let mut c = Container::new(name);
-            c = c.with_spatial(spatial);
-            for tensor in tensors("spatial_reuse")? {
-                c = c.with_spatial_reuse(tensor);
-            }
-            for (k, v) in attrs {
-                c = c.with_attr(k, v);
-            }
-            Ok(Node::Container(c))
-        }
-    }
-}
-
-fn collect_attrs(value: &Value) -> Result<Vec<(String, AttrValue)>, SpecError> {
-    let Some(v) = value.get("attributes") else {
-        return Ok(Vec::new());
-    };
-    let Value::Map(attr_pairs) = v else {
-        return Err(err0("`attributes` must be a map"));
-    };
-    attr_pairs
-        .iter()
-        .map(|(key, item)| match item {
-            Value::Scalar(s) => Ok((key.clone(), s.value.clone())),
-            _ => Err(err0(format!("attribute `{key}` must be a scalar"))),
-        })
-        .collect()
 }
 
 fn parse_value(value: &str, line_no: usize) -> Result<SpecValue, SpecError> {
@@ -1154,9 +936,7 @@ model: mvm
     #[test]
     fn headerless_attribute_lines_are_line_numbered_errors_not_panics() {
         // Regression: key-value lines before any `!Section` tag must
-        // fail with a parse error citing the offending line — the
-        // section-target selection used to lean on `.expect("non-empty")`
-        // indexing here.
+        // fail with a parse error citing the offending line, not panic.
         for (text, line) in [
             ("name: orphan\n!Scenario\nname: x\n", 1),
             ("# leading comment\n\nrows: 3\n!Scenario\nname: x\n", 3),
@@ -1177,9 +957,7 @@ model: mvm
     #[test]
     fn headerless_component_tree_lines_are_line_numbered_errors_not_panics() {
         // Regression twin: an inline `!Component`/`!Container` tree with
-        // no preceding !Architecture must report the tree's own line —
-        // the tree buffer used to track its owner in a separate
-        // `Option` resolved with `.expect("tree always has an owner")`.
+        // no preceding !Architecture must report the tree's own line.
         for (text, line) in [
             ("!Component\nname: cell\n!Scenario\nname: x\n", 1),
             ("!Scenario\nname: x\n!Container\nname: macro\n", 3),

@@ -19,9 +19,32 @@
 //! Recognized keys: `name`, `class`, `spatial` (inline map with
 //! `meshX`/`meshY`), `spatial_reuse`, `temporal_reuse`, `coalesce`,
 //! `no_coalesce`, `bypass` (tensor lists), and `attributes` (inline map).
-//! Any other key is stored as an attribute. `#` starts a comment.
+//! Any other scalar key is stored as an attribute. `#` starts a comment.
+//!
+//! Each `!Component`/`!Container` block is a [`Section`], split out by
+//! the same line tokenizer that reads scenario documents. This module
+//! holds the one node codec every format shares: a section decodes into
+//! a [`Node`] and a node encodes back into a section, whether the section
+//! came from this text, from a scenario's inline tree, or from JSON. A
+//! key may appear once per node; a tensor given two different reuse
+//! directives, and a `class` or reuse list on a `!Container`, are
+//! line-numbered errors.
 
-use crate::{AttrValue, Component, Container, Hierarchy, Node, Reuse, Spatial, SpecError, Tensor};
+use crate::scenario::{tokenize, write_section, Entry, ScalarValue, Section, SpecValue};
+use crate::{AttrValue, Attributes, Component, Container, Hierarchy, Node, Reuse, Spatial};
+use crate::{SpecError, Tensor};
+
+/// The section tags of component-tree nodes.
+pub(crate) const NODE_TAGS: [&str; 2] = ["Component", "Container"];
+
+/// The per-tensor reuse lists, by key. `bypass` is the default, so the
+/// writer never emits it.
+const REUSE_KEYS: [(&str, Reuse); 4] = [
+    ("temporal_reuse", Reuse::Temporal),
+    ("coalesce", Reuse::Coalesce),
+    ("no_coalesce", Reuse::NoCoalesce),
+    ("bypass", Reuse::Bypass),
+];
 
 /// Parses the text format into a validated [`Hierarchy`].
 ///
@@ -30,43 +53,10 @@ use crate::{AttrValue, Component, Container, Hierarchy, Node, Reuse, Spatial, Sp
 /// Returns [`SpecError::Parse`] with a 1-based line number on malformed
 /// input, plus any validation error from [`Hierarchy::from_nodes`].
 pub fn parse(text: &str) -> Result<Hierarchy, SpecError> {
-    let mut nodes: Vec<Node> = Vec::new();
-    let mut current: Option<PendingNode> = None;
-
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(tag) = line.strip_prefix('!') {
-            if let Some(done) = current.take() {
-                nodes.push(done.finish(line_no)?);
-            }
-            current = Some(match tag.trim() {
-                "Component" => PendingNode::component(),
-                "Container" => PendingNode::container(),
-                other => {
-                    return Err(SpecError::Parse {
-                        line: line_no,
-                        message: format!(
-                            "unknown tag `!{other}` (expected !Component or !Container)"
-                        ),
-                    })
-                }
-            });
-            continue;
-        }
-        let (key, value) = split_key_value(line, line_no)?;
-        let node = current.as_mut().ok_or_else(|| SpecError::Parse {
-            line: line_no,
-            message: format!("`{key}` appears before any !Component/!Container tag"),
-        })?;
-        node.apply(key, value, line_no)?;
-    }
-    if let Some(done) = current.take() {
-        nodes.push(done.finish(text.lines().count())?);
-    }
+    let nodes = tokenize(text)?
+        .iter()
+        .map(node_from_section)
+        .collect::<Result<Vec<Node>, _>>()?;
     Hierarchy::from_nodes(nodes)
 }
 
@@ -75,70 +65,194 @@ pub fn parse(text: &str) -> Result<Hierarchy, SpecError> {
 pub fn write(hierarchy: &Hierarchy) -> String {
     let mut out = String::new();
     for node in hierarchy.nodes() {
-        match node {
-            Node::Component(c) => {
-                out.push_str("!Component\n");
-                out.push_str(&format!("name: {}\n", c.name()));
-                if !c.class().is_empty() {
-                    out.push_str(&format!("class: {}\n", c.class()));
-                }
-                write_reuse_lists(&mut out, |t| c.reuse(t));
-                write_spatial(&mut out, c.spatial(), |t| c.spatial_reuse(t));
-                for (k, v) in c.attributes().iter() {
-                    out.push_str(&format!("{k}: {}\n", attr_to_text(v)));
-                }
-            }
-            Node::Container(c) => {
-                out.push_str("!Container\n");
-                out.push_str(&format!("name: {}\n", c.name()));
-                write_spatial(&mut out, c.spatial(), |t| c.spatial_reuse(t));
-                for (k, v) in c.attributes().iter() {
-                    out.push_str(&format!("{k}: {}\n", attr_to_text(v)));
-                }
-            }
-        }
+        write_section(&mut out, &node_to_section(node));
     }
     out
+}
+
+/// Decodes one `!Component`/`!Container` section into a [`Node`].
+///
+/// # Errors
+///
+/// Returns [`SpecError::Parse`] at the offending entry's line (the
+/// section's line for a missing `name` or an unknown tag).
+pub(crate) fn node_from_section(section: &Section) -> Result<Node, SpecError> {
+    let err = |line: usize, message: String| SpecError::Parse { line, message };
+    let tag = section.tag();
+    let is_component = match tag {
+        "Component" => true,
+        "Container" => false,
+        other => {
+            return Err(err(
+                section.line(),
+                format!("unknown tag `!{other}` (expected !Component or !Container)"),
+            ))
+        }
+    };
+    let mut name = None;
+    let mut class = String::new();
+    let mut reuse: [Option<Reuse>; 3] = [None; 3];
+    let mut spatial = Spatial::UNIT;
+    let mut spatial_reuse = [false; 3];
+    let mut attrs = Attributes::new();
+    for Entry { key, value, line } in section.entries() {
+        let line = *line;
+        let tensors = || -> Result<Vec<Tensor>, SpecError> {
+            let SpecValue::List(items) = value else {
+                return Err(err(line, format!("`{key}` must be a `[list]` of tensors")));
+            };
+            let tensor = |s: &ScalarValue| {
+                Tensor::parse(&s.raw).ok_or_else(|| {
+                    let message = "(expected Inputs/Weights/Outputs)";
+                    err(line, format!("unknown tensor `{}` {message}", s.raw))
+                })
+            };
+            items.iter().map(tensor).collect()
+        };
+        let directive = REUSE_KEYS.iter().find(|(k, _)| k == key).map(|&(_, r)| r);
+        if !is_component && (key == "class" || directive.is_some()) {
+            return Err(err(
+                line,
+                format!("`{key}` is not allowed on a !Container (only components have it)"),
+            ));
+        }
+        if let Some(directive) = directive {
+            for tensor in tensors()? {
+                match reuse[tensor as usize].replace(directive) {
+                    Some(existing) if existing != directive => {
+                        return Err(err(
+                            line,
+                            format!(
+                                "tensor {tensor} already has directive {existing:?}, \
+                                 cannot also be {directive:?}"
+                            ),
+                        ))
+                    }
+                    _ => {}
+                }
+            }
+            continue;
+        }
+        let mut attr = |k: &str, s: &ScalarValue| match attrs.set(k, s.value.clone()) {
+            Some(_) => Err(err(line, format!("duplicate attribute `{k}`"))),
+            None => Ok(()),
+        };
+        match (key.as_str(), value) {
+            ("name", SpecValue::Scalar(s)) => name = Some(s.raw.clone()),
+            ("class", SpecValue::Scalar(s)) => class = s.raw.clone(),
+            ("spatial", SpecValue::Map(pairs)) => {
+                for (k, s) in pairs {
+                    // A mesh of 0 instances is never meaningful; reject it
+                    // here with the line number instead of letting a
+                    // fanout-0 node reach hierarchy validation.
+                    let Some(n) = s.raw.parse::<u64>().ok().filter(|&n| n > 0) else {
+                        let found = &s.raw;
+                        let message =
+                            format!("mesh size must be a positive integer, found `{found}`");
+                        return Err(err(line, message));
+                    };
+                    match k.as_str() {
+                        "meshX" | "mesh_x" => spatial.mesh_x = n,
+                        "meshY" | "mesh_y" => spatial.mesh_y = n,
+                        other => return Err(err(line, format!("unknown spatial key `{other}`"))),
+                    }
+                }
+            }
+            ("spatial_reuse", _) => {
+                for tensor in tensors()? {
+                    spatial_reuse[tensor as usize] = true;
+                }
+            }
+            ("attributes", SpecValue::Map(pairs)) => {
+                for (k, s) in pairs {
+                    attr(k, s)?;
+                }
+            }
+            ("spatial" | "attributes", _) => {
+                return Err(err(line, format!("`{key}` must be a `{{ map }}`")))
+            }
+            (_, SpecValue::Scalar(s)) => attr(key, s)?,
+            _ => return Err(err(line, format!("`{key}` must be a scalar"))),
+        }
+    }
+    let name = name.ok_or_else(|| err(section.line(), "node is missing a `name`".to_owned()))?;
+    let reused = Tensor::ALL
+        .into_iter()
+        .filter(|t| spatial_reuse[*t as usize]);
+    Ok(if is_component {
+        let mut c = Component::new(name).with_class(class).with_spatial(spatial);
+        for tensor in Tensor::ALL {
+            if let Some(r) = reuse[tensor as usize] {
+                c = c.with_reuse(tensor, r);
+            }
+        }
+        let mut c = reused.fold(c, Component::with_spatial_reuse);
+        *c.attributes_mut() = attrs;
+        Node::Component(c)
+    } else {
+        let c = Container::new(name).with_spatial(spatial);
+        let mut c = reused.fold(c, Container::with_spatial_reuse);
+        *c.attributes_mut() = attrs;
+        Node::Container(c)
+    })
+}
+
+/// Encodes a [`Node`] as its section: `name`, then a component's `class`
+/// and reuse lists, the spatial fanout, and the attributes in name order.
+/// [`write_section`] renders it as the canonical text [`write`] emits,
+/// which keys the evaluator's hierarchy fingerprint.
+pub(crate) fn node_to_section(node: &Node) -> Section {
+    let scalar = |raw: &str| SpecValue::Scalar(ScalarValue::parse(raw));
+    let tensors = |pick: &dyn Fn(Tensor) -> bool| {
+        let items: Vec<ScalarValue> = Tensor::ALL
+            .into_iter()
+            .filter(|&t| pick(t))
+            .map(|t| ScalarValue::parse(t.name()))
+            .collect();
+        (!items.is_empty()).then_some(SpecValue::List(items))
+    };
+    let mut entries: Vec<(&str, SpecValue)> = vec![("name", scalar(node.name()))];
+    let tag = match node {
+        Node::Component(c) => {
+            if !c.class().is_empty() {
+                entries.push(("class", scalar(c.class())));
+            }
+            for (key, directive) in &REUSE_KEYS[..3] {
+                if let Some(list) = tensors(&|t| c.reuse(t) == *directive) {
+                    entries.push((key, list));
+                }
+            }
+            "Component"
+        }
+        Node::Container(_) => "Container",
+    };
+    let spatial = node.spatial();
+    if spatial.fanout() > 1 {
+        let mesh = |raw: u64| ScalarValue::parse(&raw.to_string());
+        let pairs = vec![
+            ("meshX".to_owned(), mesh(spatial.mesh_x)),
+            ("meshY".to_owned(), mesh(spatial.mesh_y)),
+        ];
+        entries.push(("spatial", SpecValue::Map(pairs)));
+    }
+    if let Some(list) = tensors(&|t| node.spatial_reuse(t)) {
+        entries.push(("spatial_reuse", list));
+    }
+    for (key, value) in node.attributes().iter() {
+        entries.push((key, scalar(&attr_to_text(value))));
+    }
+    let entries = entries.into_iter().map(|(key, value)| Entry {
+        key: key.to_owned(),
+        value,
+        line: 0,
+    });
+    Section::new(tag, 0, entries.collect())
 }
 
 pub(crate) fn attr_to_text(v: &AttrValue) -> String {
     match v {
         AttrValue::Str(s) => s.clone(),
         other => other.to_string(),
-    }
-}
-
-fn write_reuse_lists(out: &mut String, reuse: impl Fn(Tensor) -> Reuse) {
-    for (directive, keyword) in [
-        (Reuse::Temporal, "temporal_reuse"),
-        (Reuse::Coalesce, "coalesce"),
-        (Reuse::NoCoalesce, "no_coalesce"),
-    ] {
-        let tensors: Vec<&str> = Tensor::ALL
-            .into_iter()
-            .filter(|&t| reuse(t) == directive)
-            .map(Tensor::name)
-            .collect();
-        if !tensors.is_empty() {
-            out.push_str(&format!("{keyword}: [{}]\n", tensors.join(", ")));
-        }
-    }
-}
-
-fn write_spatial(out: &mut String, spatial: Spatial, spatial_reuse: impl Fn(Tensor) -> bool) {
-    if spatial.fanout() > 1 {
-        out.push_str(&format!(
-            "spatial: {{ meshX: {}, meshY: {} }}\n",
-            spatial.mesh_x, spatial.mesh_y
-        ));
-    }
-    let reused: Vec<&str> = Tensor::ALL
-        .into_iter()
-        .filter(|&t| spatial_reuse(t))
-        .map(Tensor::name)
-        .collect();
-    if !reused.is_empty() {
-        out.push_str(&format!("spatial_reuse: [{}]\n", reused.join(", ")));
     }
 }
 
@@ -206,189 +320,6 @@ pub(crate) fn parse_scalar(value: &str) -> AttrValue {
         "true" | "True" => AttrValue::Bool(true),
         "false" | "False" => AttrValue::Bool(false),
         other => AttrValue::Str(other.to_owned()),
-    }
-}
-
-fn parse_tensor(name: &str, line_no: usize) -> Result<Tensor, SpecError> {
-    Tensor::parse(name).ok_or_else(|| SpecError::Parse {
-        line: line_no,
-        message: format!("unknown tensor `{name}` (expected Inputs/Weights/Outputs)"),
-    })
-}
-
-enum PendingKind {
-    Component,
-    Container,
-}
-
-struct PendingNode {
-    kind: PendingKind,
-    name: Option<String>,
-    class: Option<String>,
-    reuse: [Option<Reuse>; 3],
-    spatial: Spatial,
-    spatial_reuse: [bool; 3],
-    attrs: Vec<(String, AttrValue)>,
-}
-
-impl PendingNode {
-    fn component() -> Self {
-        Self::new(PendingKind::Component)
-    }
-
-    fn container() -> Self {
-        Self::new(PendingKind::Container)
-    }
-
-    fn new(kind: PendingKind) -> Self {
-        PendingNode {
-            kind,
-            name: None,
-            class: None,
-            reuse: [None; 3],
-            spatial: Spatial::UNIT,
-            spatial_reuse: [false; 3],
-            attrs: Vec::new(),
-        }
-    }
-
-    fn set_reuse(&mut self, tensor: Tensor, reuse: Reuse, line_no: usize) -> Result<(), SpecError> {
-        let slot = &mut self.reuse[tensor as usize];
-        if let Some(existing) = *slot {
-            if existing != reuse {
-                return Err(SpecError::Parse {
-                    line: line_no,
-                    message: format!(
-                        "tensor {tensor} already has directive {existing:?}, cannot also be {reuse:?}"
-                    ),
-                });
-            }
-        }
-        *slot = Some(reuse);
-        Ok(())
-    }
-
-    fn apply(&mut self, key: &str, value: &str, line_no: usize) -> Result<(), SpecError> {
-        match key {
-            "name" => {
-                if let Some(existing) = &self.name {
-                    return Err(SpecError::Parse {
-                        line: line_no,
-                        message: format!(
-                            "duplicate `name` key (node is already named `{existing}`)"
-                        ),
-                    });
-                }
-                self.name = Some(value.to_owned());
-            }
-            "class" => {
-                if let Some(existing) = &self.class {
-                    return Err(SpecError::Parse {
-                        line: line_no,
-                        message: format!(
-                            "duplicate `class` key (node already has class `{existing}`)"
-                        ),
-                    });
-                }
-                self.class = Some(value.to_owned());
-            }
-            "temporal_reuse" | "coalesce" | "no_coalesce" | "bypass" => {
-                let reuse = match key {
-                    "temporal_reuse" => Reuse::Temporal,
-                    "coalesce" => Reuse::Coalesce,
-                    "no_coalesce" => Reuse::NoCoalesce,
-                    _ => Reuse::Bypass,
-                };
-                for tensor_name in parse_list(value, line_no)? {
-                    let tensor = parse_tensor(&tensor_name, line_no)?;
-                    self.set_reuse(tensor, reuse, line_no)?;
-                }
-            }
-            "spatial" => {
-                for (k, v) in parse_inline_map(value, line_no)? {
-                    let n: u64 = match v.parse() {
-                        // A mesh of 0 instances is never meaningful; reject
-                        // it here with the line number instead of letting a
-                        // fanout-0 node reach hierarchy validation.
-                        Ok(n) if n > 0 => n,
-                        _ => {
-                            return Err(SpecError::Parse {
-                                line: line_no,
-                                message: format!(
-                                    "mesh size must be a positive integer, found `{v}`"
-                                ),
-                            })
-                        }
-                    };
-                    match k.as_str() {
-                        "meshX" | "mesh_x" => self.spatial.mesh_x = n,
-                        "meshY" | "mesh_y" => self.spatial.mesh_y = n,
-                        other => {
-                            return Err(SpecError::Parse {
-                                line: line_no,
-                                message: format!("unknown spatial key `{other}`"),
-                            })
-                        }
-                    }
-                }
-            }
-            "spatial_reuse" => {
-                for tensor_name in parse_list(value, line_no)? {
-                    let tensor = parse_tensor(&tensor_name, line_no)?;
-                    self.spatial_reuse[tensor as usize] = true;
-                }
-            }
-            "attributes" => {
-                for (k, v) in parse_inline_map(value, line_no)? {
-                    self.attrs.push((k, parse_scalar(&v)));
-                }
-            }
-            other => self.attrs.push((other.to_owned(), parse_scalar(value))),
-        }
-        Ok(())
-    }
-
-    fn finish(self, line_no: usize) -> Result<Node, SpecError> {
-        let name = self.name.ok_or_else(|| SpecError::Parse {
-            line: line_no,
-            message: "node is missing a `name`".to_owned(),
-        })?;
-        match self.kind {
-            PendingKind::Component => {
-                let mut c = Component::new(name);
-                if let Some(class) = self.class {
-                    c = c.with_class(class);
-                }
-                for tensor in Tensor::ALL {
-                    if let Some(reuse) = self.reuse[tensor as usize] {
-                        c = c.with_reuse(tensor, reuse);
-                    }
-                }
-                c = c.with_spatial(self.spatial);
-                for tensor in Tensor::ALL {
-                    if self.spatial_reuse[tensor as usize] {
-                        c = c.with_spatial_reuse(tensor);
-                    }
-                }
-                for (k, v) in self.attrs {
-                    c = c.with_attr(k, v);
-                }
-                Ok(Node::Component(c))
-            }
-            PendingKind::Container => {
-                let mut c = Container::new(name);
-                c = c.with_spatial(self.spatial);
-                for tensor in Tensor::ALL {
-                    if self.spatial_reuse[tensor as usize] {
-                        c = c.with_spatial_reuse(tensor);
-                    }
-                }
-                for (k, v) in self.attrs {
-                    c = c.with_attr(k, v);
-                }
-                Ok(Node::Container(c))
-            }
-        }
     }
 }
 
@@ -491,12 +422,22 @@ spatial_reuse: [Outputs]   # Reuse outputs not inputs/weights
     }
 
     #[test]
-    fn duplicate_directive_is_idempotent() {
-        let h = parse("!Component\nname: a\nno_coalesce: [Inputs]\nno_coalesce: [Inputs]").unwrap();
-        assert_eq!(
-            h.component("a").unwrap().reuse(Tensor::Inputs),
-            Reuse::NoCoalesce
-        );
+    fn repeated_keys_in_a_node_are_errors() {
+        // Regression: a repeated directive line used to be merged, and a
+        // top-level attribute could silently override `attributes: {…}`.
+        for (text, line) in [
+            (
+                "!Component\nname: a\nno_coalesce: [Inputs]\nno_coalesce: [Inputs]",
+                4,
+            ),
+            ("!Component\nname: a\nattributes: { bits: 2 }\nbits: 4", 4),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert!(
+                matches!(err, SpecError::Parse { line: l, .. } if l == line),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -209,7 +209,8 @@ proptest! {
     #[test]
     fn scenario_embeds_arbitrary_component_trees(h in arb_hierarchy()) {
         // Any valid yamlite tree can ride inline inside a scenario's
-        // !Architecture section and parse back identically.
+        // !Architecture section and parse back identically, from the
+        // text and through JSON.
         let doc = format!(
             "!Scenario\nname: prop\nexperiment: evaluate\n!Architecture\n{}",
             yamlite::write(&h)
@@ -217,6 +218,9 @@ proptest! {
         let parsed = cimloop_spec::ScenarioDoc::parse(&doc).expect("scenario parses");
         let arch = parsed.architecture().expect("architecture present");
         prop_assert_eq!(arch.hierarchy.as_ref().expect("inline tree"), &h);
+        let json = cimloop_spec::ScenarioDoc::from_json(&parsed.to_json()).expect("JSON parses");
+        prop_assert_eq!(json.architecture().expect("architecture").hierarchy.as_ref(), Some(&h));
+        prop_assert_eq!(json.write(), parsed.write());
     }
 
     #[test]

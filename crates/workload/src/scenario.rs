@@ -48,10 +48,10 @@ cimloop_spec::reflect_section! {
     pub struct WorkloadSection: "Workload" {
         model: [opt str], "zoo model key (resnet18, mobilenet, vit, gpt2, alexnet, bert, mvm)";
         name: [opt str], "custom-network name (layers come from !Layer sections)";
-        rows: [u64] = 256, "mvm rows";
-        cols: [u64] = 256, "mvm columns";
-        batch: [u64] = 256, "mvm batch size";
-        prefix: [opt u64], "truncate the model to its first N layers";
+        rows: [count] = 256, "mvm rows";
+        cols: [count] = 256, "mvm columns";
+        batch: [count] = 256, "mvm batch size";
+        prefix: [opt count], "truncate the model to its first N layers";
         unroll: [bool] = false, "expand the model to execution order";
         input_bits: [opt u32], "whole-network input precision override";
         weight_bits: [opt u32], "whole-network weight precision override";
@@ -70,7 +70,7 @@ cimloop_spec::reflect_section! {
         q: [u64] = 1, "output width (conv)";
         r: [u64] = 1, "filter height (conv)";
         s: [u64] = 1, "filter width (conv)";
-        count: [opt u64], "repeat count";
+        count: [opt count], "repeat count";
         input_bits: [opt u32], "input precision, bits";
         weight_bits: [opt u32], "weight precision, bits";
         input_signed: [opt bool], "inputs are signed";
