@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use cimloop_core::{Pipeline, Representation};
-use cimloop_macros::base_macro;
+use cimloop_core::{Pipeline, Representation, ValueStats};
+use cimloop_macros::{base_macro, macro_c};
 use cimloop_stats::{BitStats, Pmf};
 use cimloop_workload::models;
 
@@ -23,6 +23,27 @@ fn pmf_operations(c: &mut Criterion) {
             BenchmarkId::new("coarsen_to_64", support),
             &pmf,
             |b, pmf| b.iter(|| black_box(pmf.coarsen(64))),
+        );
+    }
+    // The column sums fig02b spends its time in: macro_c's 4-bit-DAC slice
+    // product (ResNet18 layer2.0.conv2), coarsened to ~480 non-integer
+    // centroids as `ValueStats::compute` does, over 128 and 512 rows.
+    let stats = ValueStats::compute(
+        &models::resnet18().layers()[6],
+        &macro_c().with_dac_resolution(4).representation(),
+        1,
+    )
+    .expect("value stats");
+    let product = stats
+        .input_slice()
+        .pmf()
+        .product(stats.weight_slice().pmf())
+        .coarsen(512);
+    for rows in [128u64, 512] {
+        group.bench_with_input(
+            BenchmarkId::new("convolve_n_macro_c_dac4", rows),
+            &product,
+            |b, pmf| b.iter(|| black_box(pmf.convolve_n(black_box(rows), 512))),
         );
     }
     let bytes = Pmf::uniform_ints(0, 255).expect("range");

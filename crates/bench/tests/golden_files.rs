@@ -33,12 +33,12 @@ const GOLDENS: [(&str, u64, usize); 15] = [
     ("fig02a.tsv", 0x95c47b92e420049d, 260),
     ("fig02b.tsv", 0x410b189704181cef, 224),
     ("fig06.tsv", 0x5f7a100f1ba1278c, 695),
-    ("fig07.tsv", 0x748e231698aed6ee, 427),
+    ("fig07.tsv", 0xc7200b0c40e38654, 427),
     ("fig08.tsv", 0xcfa5502dc4d1f92f, 338),
     ("fig09_noise.tsv", 0xa8673e0e8db5a8f1, 440),
     ("fig10.tsv", 0x31e0921dfe803ecd, 491),
     ("fig11.tsv", 0xeec6f95b838a15bb, 382),
-    ("fig12.tsv", 0x0ab784e487bbb91c, 841),
+    ("fig12.tsv", 0x0578d35b7a2801e7, 841),
     ("fig_mc_accuracy.tsv", 0x228b919f8c7108ef, 350),
     ("network_sweep.tsv", 0x11e5fa94ca0ef252, 88),
     ("scenario_custom.tsv", 0x5a7cbbe24c63efdd, 195),

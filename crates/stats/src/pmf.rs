@@ -123,15 +123,6 @@ impl Pmf {
         Self::uniform((lo..=hi).map(|v| v as f64))
     }
 
-    /// Estimates a distribution from observed samples (the empirical PMF).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::EmptySupport`] if `samples` is empty.
-    pub fn from_samples(samples: &[f64]) -> Result<Self, StatsError> {
-        Self::from_weights(samples.iter().map(|&v| (v, 1.0)))
-    }
-
     /// The support values, sorted ascending.
     pub fn support(&self) -> &[f64] {
         &self.values
@@ -263,16 +254,36 @@ impl Pmf {
     }
 
     /// Distribution of the sum of `n` independent draws from this
-    /// distribution, coarsening intermediate supports to at most
-    /// `max_support` points (0 means unlimited).
+    /// distribution, by binary exponentiation (`O(log n)` convolution
+    /// steps).
     ///
-    /// Uses binary exponentiation so cost is `O(log n)` convolutions.
+    /// With `max_support > 0`, every step's result has at most
+    /// `max_support` points, binned as [`Self::coarsen`] bins them, so
+    /// the mean is exact up to rounding. A step whose operands `a` and `b`
+    /// satisfy `a.len() + b.len() - 1 <= max_support` is
+    /// [`Self::convolve`] then [`Self::coarsen`]. Any other step is certain
+    /// to exceed the cap (a sum of two sets has at least `|A| + |B| - 1`
+    /// values), so it bins each of its `a.len() * b.len()` pairs straight
+    /// into `coarsen`'s bins over `[a.min() + b.min(), a.max() + b.max()]`,
+    /// with no pair vector and no sort.
+    ///
+    /// With `max_support == 0` intermediate supports are not capped, but
+    /// each step is still a [`Self::convolve`], which coarsens operands
+    /// whose pair count would exceed its ~262k-pair budget.
     pub fn convolve_n(&self, n: u64, max_support: usize) -> Self {
-        let cap = |pmf: Pmf| {
-            if max_support > 0 && pmf.len() > max_support {
-                pmf.coarsen(max_support)
+        let step = |a: &Pmf, b: &Pmf| {
+            if max_support == 0 {
+                a.convolve(b)
+            } else if a.len() + b.len() - 1 <= max_support {
+                a.convolve(b).coarsen(max_support)
             } else {
-                pmf
+                let mut bins = Bins::new(a.min() + b.min(), a.max() + b.max(), max_support);
+                for (v1, p1) in a.iter() {
+                    for (v2, p2) in b.iter() {
+                        bins.add(v1 + v2, p1 * p2);
+                    }
+                }
+                bins.into_pmf()
             }
         };
         let mut result = Pmf::delta(0.0).expect("0.0 is finite");
@@ -280,11 +291,11 @@ impl Pmf {
         let mut k = n;
         while k > 0 {
             if k & 1 == 1 {
-                result = cap(result.convolve(&base));
+                result = step(&result, &base);
             }
             k >>= 1;
             if k > 0 {
-                base = cap(base.convolve(&base));
+                base = step(&base, &base);
             }
         }
         result
@@ -320,8 +331,9 @@ impl Pmf {
     }
 
     /// Reduces the support to at most `n` points by re-binning adjacent
-    /// values, preserving total mass and (approximately) the mean: each bin
-    /// is represented by its probability-weighted centroid.
+    /// values into `n` equal-width bins, preserving total mass and the mean
+    /// (exactly, up to rounding): each bin is represented by its
+    /// probability-weighted centroid.
     ///
     /// Returns `self` unchanged if the support is already small enough.
     ///
@@ -333,51 +345,11 @@ impl Pmf {
         if self.len() <= n {
             return self.clone();
         }
-        // Equal-width bins over the support range; centroid per bin keeps the
-        // mean exact and bounds the second-moment error by the bin width.
-        let lo = self.min();
-        let hi = self.max();
-        let width = (hi - lo) / n as f64;
-        let mut mass = vec![0.0f64; n];
-        let mut moment = vec![0.0f64; n];
+        let mut bins = Bins::new(self.min(), self.max(), n);
         for (v, p) in self.iter() {
-            // `width` can overflow to +inf for supports spanning nearly the
-            // whole f64 range (hi − lo > f64::MAX); everything then lands
-            // in bin 0 rather than indexing through a NaN.
-            let mut idx = if width.is_finite() && width > 0.0 {
-                ((v - lo) / width) as usize
-            } else {
-                0
-            };
-            if idx >= n {
-                idx = n - 1;
-            }
-            mass[idx] += p;
-            moment[idx] += p * v;
+            bins.add(v, p);
         }
-        // Empty bins are dropped before the centroid division, so a bin can
-        // never emit a 0/0 = NaN support value; nonempty bins divide a
-        // finite moment by a strictly positive mass, and `from_weights`
-        // re-validates finiteness. Mass is conserved: every support point's
-        // probability lands in exactly one bin.
-        let pairs = mass
-            .iter()
-            .zip(moment.iter())
-            .filter(|&(&m, _)| m > 0.0)
-            .map(|(&m, &mo)| (mo / m, m));
-        Self::from_weights(pairs).expect("coarsening a valid pmf yields a valid pmf")
-    }
-
-    /// Drops support points with probability below `eps` and renormalizes.
-    ///
-    /// If pruning would remove everything, the distribution is returned
-    /// unchanged.
-    pub fn prune(&self, eps: f64) -> Self {
-        let kept: Vec<(f64, f64)> = self.iter().filter(|&(_, p)| p >= eps).collect();
-        if kept.is_empty() {
-            return self.clone();
-        }
-        Self::from_weights(kept).expect("pruning a valid pmf yields a valid pmf")
+        bins.into_pmf()
     }
 
     /// Quantizes values to the nearest integer.
@@ -388,23 +360,6 @@ impl Pmf {
     /// Clamps values into `[lo, hi]`.
     pub fn clamp(&self, lo: f64, hi: f64) -> Self {
         self.map(|v| v.clamp(lo, hi))
-    }
-
-    /// Quantizes a continuous-ish distribution to `levels` evenly spaced
-    /// values spanning `[lo, hi]` (inclusive), mapping each support point to
-    /// the nearest level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels < 2` or `lo >= hi`.
-    pub fn quantize(&self, lo: f64, hi: f64, levels: usize) -> Self {
-        assert!(levels >= 2, "need at least two quantization levels");
-        assert!(lo < hi, "quantization range must be non-empty");
-        let step = (hi - lo) / (levels - 1) as f64;
-        self.map(|v| {
-            let idx = ((v - lo) / step).round().clamp(0.0, (levels - 1) as f64);
-            lo + idx * step
-        })
     }
 
     /// Inverse-CDF lookup: returns the support value at cumulative
@@ -452,6 +407,61 @@ impl Pmf {
             }
         }
         dist / 2.0
+    }
+}
+
+/// `n` equal-width bins over `[lo, hi]`, each accumulating the mass and
+/// first moment of the points added to it: the binning rule of
+/// [`Pmf::coarsen`] and of [`Pmf::convolve_n`]'s capped steps. A centroid
+/// per bin keeps the mean exact and bounds the second-moment error by the
+/// bin width.
+struct Bins {
+    lo: f64,
+    width: f64,
+    mass: Vec<f64>,
+    moment: Vec<f64>,
+}
+
+impl Bins {
+    /// `n > 0` empty bins spanning `[lo, hi]`.
+    fn new(lo: f64, hi: f64, n: usize) -> Self {
+        Bins {
+            lo,
+            width: (hi - lo) / n as f64,
+            mass: vec![0.0; n],
+            moment: vec![0.0; n],
+        }
+    }
+
+    /// Adds mass `p` at value `v` (which lies in `[lo, hi]`).
+    fn add(&mut self, v: f64, p: f64) {
+        // `width` can overflow to +inf for supports spanning nearly the
+        // whole f64 range (hi − lo > f64::MAX); everything then lands in
+        // bin 0 rather than indexing through a NaN.
+        let idx = if self.width.is_finite() && self.width > 0.0 {
+            ((v - self.lo) / self.width) as usize
+        } else {
+            0
+        };
+        let idx = idx.min(self.mass.len() - 1);
+        self.mass[idx] += p;
+        self.moment[idx] += p * v;
+    }
+
+    /// The distribution of the non-empty bins' centroids.
+    fn into_pmf(self) -> Pmf {
+        // Empty bins are dropped before the centroid division, so a bin can
+        // never emit a 0/0 = NaN support value; nonempty bins divide a
+        // finite moment by a strictly positive mass, and `from_weights`
+        // re-validates finiteness. Mass is conserved: every added point's
+        // probability lands in exactly one bin.
+        let pairs = self
+            .mass
+            .iter()
+            .zip(self.moment.iter())
+            .filter(|&(&m, _)| m > 0.0)
+            .map(|(&m, &mo)| (mo / m, m));
+        Pmf::from_weights(pairs).expect("binning a valid pmf yields a valid pmf")
     }
 }
 
@@ -511,13 +521,6 @@ mod tests {
         assert!(close(pmf.mean(), 4.5));
         assert_eq!(pmf.len(), 10);
         assert!(Pmf::uniform_ints(3, 2).is_err());
-    }
-
-    #[test]
-    fn from_samples_empirical() {
-        let pmf = Pmf::from_samples(&[1.0, 1.0, 2.0, 4.0]).unwrap();
-        assert!(close(pmf.prob_of(1.0), 0.5));
-        assert!(close(pmf.mean(), 2.0));
     }
 
     #[test]
@@ -625,23 +628,6 @@ mod tests {
     fn coarsen_noop_when_small() {
         let pmf = Pmf::uniform_ints(0, 3).unwrap();
         assert_eq!(pmf.coarsen(10), pmf);
-    }
-
-    #[test]
-    fn prune_renormalizes() {
-        let pmf = Pmf::from_weights(vec![(0.0, 0.999), (1.0, 0.001)]).unwrap();
-        let pruned = pmf.prune(0.01);
-        assert_eq!(pruned.len(), 1);
-        assert!(close(pruned.probs()[0], 1.0));
-    }
-
-    #[test]
-    fn quantize_snaps_to_levels() {
-        let pmf = Pmf::uniform(vec![0.1, 0.4, 0.6, 0.9]).unwrap();
-        let q = pmf.quantize(0.0, 1.0, 3); // levels 0.0, 0.5, 1.0
-        for &v in q.support() {
-            assert!(v == 0.0 || v == 0.5 || v == 1.0);
-        }
     }
 
     #[test]

@@ -14,6 +14,25 @@ fn mass(pmf: &Pmf) -> f64 {
     pmf.probs().iter().sum()
 }
 
+/// `Pmf::convolve_n` before its capped steps were fused: every step is a
+/// full `convolve`, then `coarsen` to the cap.
+fn reference_convolve_n(pmf: &Pmf, n: u64, max_support: usize) -> Pmf {
+    let cap = |p: Pmf| p.coarsen(max_support);
+    let mut result = Pmf::delta(0.0).expect("0.0 is finite");
+    let mut base = pmf.clone();
+    let mut k = n;
+    while k > 0 {
+        if k & 1 == 1 {
+            result = cap(result.convolve(&base));
+        }
+        k >>= 1;
+        if k > 0 {
+            base = cap(base.convolve(&base));
+        }
+    }
+    result
+}
+
 proptest! {
     #[test]
     fn probabilities_sum_to_one(pmf in arb_pmf()) {
@@ -125,6 +144,59 @@ proptest! {
     fn convolve_n_mean_scales_linearly(pmf in arb_pmf(), n in 0u64..16) {
         let sum = pmf.convolve_n(n, 256);
         prop_assert!((sum.mean() - n as f64 * pmf.mean()).abs() < 1e-4 * (1.0 + n as f64));
+    }
+
+    #[test]
+    fn capped_convolve_n_keeps_the_old_loops_bounds(
+        pmf in arb_pmf(),
+        cap in 8usize..64,
+        n in 0u64..=64,
+    ) {
+        let nf = n as f64;
+        let scale = nf * pmf.max().abs().max(pmf.min().abs()).max(1.0);
+        let (lo, hi) = (nf * pmf.min(), nf * pmf.max());
+        let var_true = nf * pmf.variance();
+        let width = (hi - lo) / cap as f64;
+        let new = pmf.convolve_n(n, cap);
+        let old = reference_convolve_n(&pmf, n, cap);
+        for sum in [&new, &old] {
+            prop_assert!(sum.len() <= cap);
+            prop_assert!((mass(sum) - 1.0).abs() <= 1e-12);
+            prop_assert!((sum.mean() - nf * pmf.mean()).abs() <= 1e-12 * scale);
+            prop_assert!(sum.min() >= lo - 1e-12 * scale && sum.max() <= hi + 1e-12 * scale);
+            // Centroids only lose variance: at most (k·r / cap)² / 4 per
+            // capped step over k draws of range r. Weighted by how often
+            // each step's result enters the sum, the loss stays below
+            // 2·width². Neither kernel is closer to the truth in general:
+            // on a lattice a bin edge can fall on a sum, and which bin
+            // takes it is a rounding accident in both.
+            let deficit = var_true - sum.variance();
+            prop_assert!(
+                deficit >= -1e-9 * var_true.max(1.0) && deficit <= 2.0 * width * width,
+                "variance {} vs exact {var_true}", sum.variance()
+            );
+        }
+        prop_assert!((new.mean() - old.mean()).abs() <= 1e-12 * scale);
+    }
+
+    #[test]
+    fn convolve_n_below_the_cap_is_the_old_loop_bit_for_bit(
+        (weights, cap, n) in (prop::collection::vec(1u32..100, 2..8), 8usize..64)
+            .prop_flat_map(|(weights, cap)| {
+                let n_max = (cap as u64 - 1) / (weights.len() as u64 - 1);
+                (Just(weights), Just(cap), 0..=n_max)
+            }),
+        offset in -100i32..100,
+    ) {
+        // k draws from L consecutive integers have k·(L − 1) + 1 values,
+        // so with n·(L − 1) + 1 <= cap no step's sum can exceed the cap
+        // and every step stays on the exact convolve-then-coarsen path (a
+        // Bernoulli is L = 2 over n <= cap − 1 rows).
+        let pmf = Pmf::from_weights(
+            weights.iter().enumerate().map(|(i, &w)| (f64::from(offset) + i as f64, f64::from(w))),
+        )
+        .expect("generated weights are valid");
+        prop_assert_eq!(pmf.convolve_n(n, cap), reference_convolve_n(&pmf, n, cap));
     }
 
     #[test]

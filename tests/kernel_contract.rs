@@ -1,0 +1,141 @@
+//! The column-sum kernel's tolerance contract (docs/accuracy.md,
+//! "Column-sum kernel"): `Pmf::convolve_n` bins the pairs of every step
+//! whose sum must exceed the support cap straight into `coarsen`'s bins,
+//! instead of materializing, sorting and then coarsening them. This pins
+//! it against that older kernel, kept below as the reference, on the
+//! slice-product distributions the pipeline really convolves.
+
+use cimloop::core::{reduction_rows_of, ValueStats};
+use cimloop::macros::{
+    base_macro, digital_cim, macro_a, macro_b, macro_c, macro_d, ArrayMacro, OutputCombine,
+};
+use cimloop::stats::Pmf;
+use cimloop::workload::{models, Layer};
+
+/// The pipeline's column-sum support cap.
+const CAP: usize = 512;
+
+/// `Pmf::convolve_n` before the fused step: every step is a full
+/// `convolve` (pair vector, sort, merge), then `coarsen` to the cap.
+fn reference_convolve_n(pmf: &Pmf, n: u64, max_support: usize) -> Pmf {
+    let cap = |p: Pmf| p.coarsen(max_support);
+    let mut result = Pmf::delta(0.0).expect("0.0 is finite");
+    let mut base = pmf.clone();
+    let mut k = n;
+    while k > 0 {
+        if k & 1 == 1 {
+            result = cap(result.convolve(&base));
+        }
+        k >>= 1;
+        if k > 0 {
+            base = cap(base.convolve(&base));
+        }
+    }
+    result
+}
+
+/// Every preset, plus macro_c as fig02b explores it: 128 and 512 rows,
+/// 1-bit and 4-bit DACs, no analog accumulator.
+fn configurations() -> Vec<(String, ArrayMacro)> {
+    let mut configs: Vec<(String, ArrayMacro)> = [
+        ("base", base_macro()),
+        ("macro_a", macro_a()),
+        ("macro_b", macro_b()),
+        ("macro_d", macro_d()),
+        ("digital", digital_cim()),
+    ]
+    .into_iter()
+    .map(|(name, m)| (name.to_owned(), m))
+    .collect();
+    for rows in [128, 512] {
+        for dac in [1, 4] {
+            let m = macro_c()
+                .with_array(rows, rows)
+                .with_dac_resolution(dac)
+                .with_output_combine(OutputCombine::None);
+            configs.push((format!("macro_c {rows} rows dac {dac}"), m));
+        }
+    }
+    configs
+}
+
+/// Relative distance of `new` from `old`.
+fn rel(new: f64, old: f64) -> f64 {
+    (new - old).abs() / old.abs()
+}
+
+/// Checks the contract for one layer's column sum on `m`.
+fn check(config: &str, m: &ArrayMacro, layer: &Layer) {
+    let case = format!("{config} / {}", layer.name());
+    let rows = reduction_rows_of(&m.hierarchy().expect("preset hierarchy"));
+    let stats = ValueStats::compute(layer, &m.representation(), rows).expect("value stats");
+    // The slice product exactly as `ValueStats::compute` builds it.
+    let product = stats
+        .input_slice()
+        .pmf()
+        .product(stats.weight_slice().pmf())
+        .coarsen(CAP);
+    let new = product.convolve_n(rows, CAP);
+    assert_eq!(stats.sum(), &new, "{case}: the pipeline runs the kernel");
+    let old = reference_convolve_n(&product, rows, CAP);
+
+    let mass: f64 = new.probs().iter().sum();
+    assert!((mass - 1.0).abs() <= 1e-12, "{case}: mass {mass}");
+    assert!(
+        rel(new.mean(), old.mean()) <= 1e-12,
+        "{case}: mean {} vs {}",
+        new.mean(),
+        old.mean()
+    );
+    assert!(
+        rel(new.second_moment(), old.second_moment()) <= 1e-6,
+        "{case}: E[x²] {} vs {}",
+        new.second_moment(),
+        old.second_moment()
+    );
+    // Centroids stay inside the sum's range; the slack covers the
+    // rounding of `rows · min` against `rows` repeated additions.
+    let (lo, hi) = (rows as f64 * product.min(), rows as f64 * product.max());
+    let slack = 1e-12 * (hi - lo);
+    assert!(
+        new.min() >= lo - slack && new.max() <= hi + slack,
+        "{case}: [{}, {}] outside [{lo}, {hi}]",
+        new.min(),
+        new.max()
+    );
+    assert!(new.len() <= CAP, "{case}: {} support points", new.len());
+}
+
+#[test]
+fn fused_column_sums_match_the_reference_kernel_on_resnet18() {
+    let net = models::resnet18();
+    // conv1 sees dense image pixels, layer2.0.conv2 sparse activations.
+    let layers = [&net.layers()[0], &net.layers()[6]];
+    for (config, m) in configurations() {
+        for layer in layers {
+            check(&config, &m, layer);
+        }
+    }
+}
+
+/// Every layer of the model zoo on every configuration; about a minute
+/// in release (CI runs it with `--include-ignored`).
+#[test]
+#[ignore = "full sweep; run in release with --include-ignored"]
+fn fused_column_sums_match_the_reference_kernel_across_the_zoo() {
+    let nets = [
+        models::resnet18(),
+        models::mobilenet_v3_large(),
+        models::vit_base(),
+        models::gpt2_small(),
+        models::alexnet(),
+        models::bert_base(),
+    ];
+    for (config, m) in configurations() {
+        for net in &nets {
+            for layer in net.layers() {
+                check(&format!("{config} / {}", net.name()), &m, layer);
+            }
+        }
+    }
+}
