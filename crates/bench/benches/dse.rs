@@ -1,76 +1,163 @@
-//! Criterion bench for the Pareto design-space explorer: a co-design grid
-//! (array size × DAC resolution × ADC resolution × output-combining
-//! variant) evaluated three ways — naive sequential (fresh evaluator per
-//! design, no cache), explorer cold (shared two-level cache), and explorer
-//! warm — asserting bit-identical Pareto fronts and recording the derived
-//! naive/explorer speedup as a JSON metric (`CIMLOOP_BENCH_JSON`).
+//! Criterion bench for the Pareto design-space explorer, in two groups.
 //!
-//! The grid is sized for bench turnaround: 24 designs over a 6-layer
-//! ResNet18 prefix. The `dse_sweep` binary runs the full Fig 2 grid on the
-//! whole network.
+//! - `dse`: the paper's Fig 2 co-design grid (two output-combining
+//!   variants of Macro C × three array sizes × three DAC × three ADC
+//!   resolutions, 54 systems) over the whole of ResNet18 at full-system
+//!   scope, swept naive sequential (fresh evaluator per design, no
+//!   cache), explorer cold (shared two-level cache, thread-pool fan-out)
+//!   and explorer warm. The explorer's front must be bit-identical to
+//!   the naive one.
+//! - `dse_scale`: the production-scale grid (96 configurations × a
+//!   1200-step noise axis, 115 200 candidates) swept to completion by the
+//!   staged explorer, plus a deterministic subsample swept staged and
+//!   plain, whose fronts must be bit-identical.
+//!
+//! Both score accuracy with the ADC-coverage proxy: the noise axis is
+//! then invisible to every objective, so the staged pass collapses each
+//! noise orbit to one evaluation, and the naive sweep's
+//! [`summarize`]d reports are comparable without Monte-Carlo sampling.
+//! Grid sizes, front sizes, evaluated/pruned counts and speedups are
+//! recorded as metrics next to the entries (`CIMLOOP_BENCH_JSON`).
 
 use std::cell::RefCell;
 use std::time::Duration;
 
-use criterion::{black_box, entry_mean_ns, finalize, record_metric, Criterion};
-
-use cimloop_bench::{
-    fig2_design_space, fig2_workload, naive_system_front, scale_design_space, scale_subsample,
-    scale_workload, FIG2_SCENARIO,
+use criterion::{
+    black_box, criterion_group, criterion_main, entry_mean_ns, record_metric, Criterion,
 };
-use cimloop_dse::{DesignReport, EvalScope, Explorer, FrontMember, ParetoFront, SweepPlan};
 
-fn front_key(front: &ParetoFront<DesignReport>) -> Vec<(u64, [f64; 4])> {
+use cimloop_bench::frozen;
+use cimloop_core::NoiseSpec;
+use cimloop_dse::{
+    summarize, AccuracyObjective, DesignReport, DesignSpace, EvalScope, Exploration, Explorer,
+    ParetoFront, SweepPlan,
+};
+use cimloop_macros::{base_macro, macro_c, OutputCombine};
+use cimloop_system::{CimSystem, StorageScenario};
+use cimloop_workload::{models, Workload};
+
+/// The storage scenario of the Fig 2 co-design experiments (the full
+/// system around the macro; weights re-fetched from DRAM).
+const FIG2_SCENARIO: StorageScenario = StorageScenario::AllTensorsFromDram;
+
+/// Steps of the scale grid's noise axis.
+const SIGMAS: u64 = 1200;
+
+/// The Fig 2 co-design space: direct ADC readout vs Macro C's analog
+/// accumulator × array sizes × DAC resolutions × ADC resolutions.
+fn fig2_design_space() -> DesignSpace {
+    let direct = frozen(&macro_c()).with_output_combine(OutputCombine::None);
+    let accum = frozen(&macro_c()).with_output_combine(OutputCombine::AnalogAccumulator);
+    DesignSpace::new()
+        .variant("c-direct", direct)
+        .variant("c-accum", accum)
+        .square_arrays([128, 256, 512])
+        .dac_bits([1, 2, 4])
+        .adc_bits([6, 8, 10])
+}
+
+/// The sweep the explorer replaces, kept as the speedup and
+/// bit-identity reference: a fresh system evaluator per design,
+/// uncached, sequential.
+fn naive_system_front(space: &DesignSpace, net: &Workload) -> ParetoFront<DesignReport> {
+    let mut front = ParetoFront::new();
+    for point in space.designs() {
+        let system = CimSystem::new(point.cim_macro().clone()).with_scenario(FIG2_SCENARIO);
+        let evaluator = system.evaluator().expect("system evaluator");
+        let run = evaluator
+            .evaluate(net, &system.representation())
+            .expect("naive evaluation");
+        let report = summarize(&point, &evaluator, &run);
+        front.insert(point.id(), report.objectives(), report);
+    }
+    front
+}
+
+/// The production-scale grid: 2 output-combining variants × 4 array
+/// sizes × 2 DAC × 3 ADC × 2 cell widths = 96 configurations, crossed
+/// with [`SIGMAS`] cell-variation levels.
+fn scale_design_space() -> DesignSpace {
+    DesignSpace::new()
+        .variant("direct", base_macro().uncalibrated())
+        .variant(
+            "accum",
+            base_macro()
+                .uncalibrated()
+                .with_output_combine(OutputCombine::AnalogAccumulator),
+        )
+        .square_arrays([32, 64, 128, 256])
+        .dac_bits([1, 2])
+        .adc_bits([4, 6, 8])
+        .cell_bits([1, 2])
+        .noise_specs(
+            (0..SIGMAS)
+                .map(|i| NoiseSpec::new().with_cell_variation(i as f64 * 0.25 / SIGMAS as f64)),
+        )
+}
+
+/// An explorer scoring accuracy with the ADC-coverage proxy.
+fn coverage_explorer() -> Explorer {
+    Explorer::new().with_accuracy(AccuracyObjective::AdcCoverage)
+}
+
+/// Every front member's id with the bits of its objectives, energy and
+/// latency: equal keys mean bit-identical fronts.
+fn front_key(front: &ParetoFront<DesignReport>) -> Vec<(u64, [u64; 6])> {
     front
         .members()
         .iter()
-        .map(|m: &FrontMember<DesignReport>| {
-            (
-                m.id,
-                [
-                    m.objectives.energy_per_mac,
-                    m.objectives.tops_per_watt,
-                    m.objectives.area_mm2,
-                    m.objectives.accuracy_proxy,
-                ],
-            )
+        .map(|m| {
+            let r = &m.value;
+            let o = &m.objectives;
+            let values = [
+                o.energy_per_mac,
+                o.tops_per_watt,
+                o.area_mm2,
+                o.accuracy_proxy,
+                r.energy_total,
+                r.latency,
+            ];
+            (m.id, values.map(f64::to_bits))
         })
         .collect()
 }
 
-fn main() {
-    let mut c = Criterion::default();
-    // The same quick grid the `dse_sweep quick` smoke run and CI exercise.
-    let space = fig2_design_space(true);
-    let net = fig2_workload(true);
+/// Records `numerator / denominator` of two entries' means as `metric`,
+/// when both ran (a CLI filter may skip either).
+fn record_speedup(metric: &str, numerator: &str, denominator: &str) {
+    if let (Some(n), Some(d)) = (entry_mean_ns(numerator), entry_mean_ns(denominator)) {
+        println!("{metric}: {:.1}x", n / d);
+        record_metric(metric, n / d);
+    }
+}
 
-    let naive_result = RefCell::new(None);
-    let explorer_result = RefCell::new(None);
+fn fig2_sweeps(c: &mut Criterion) {
+    let space = fig2_design_space();
+    let net = models::resnet18();
+    let explorer = || coverage_explorer().with_scope(EvalScope::System(FIG2_SCENARIO));
 
+    let naive = RefCell::new(None);
+    let cold = RefCell::new(None);
     let mut group = c.benchmark_group("dse");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(1));
     group.bench_function("sweep_naive_sequential", |b| {
         b.iter(|| {
-            let front = naive_system_front(&space, &net, FIG2_SCENARIO);
-            *naive_result.borrow_mut() = Some(front_key(&front));
+            let front = naive_system_front(&space, &net);
+            *naive.borrow_mut() = Some(front_key(&front));
             black_box(front.len())
         })
     });
     group.bench_function("sweep_explorer_cold", |b| {
         b.iter(|| {
-            // A fresh explorer per iteration: measures a cold sweep
-            // including all statistics and table computations. Scored
-            // with the legacy ADC-coverage accuracy so the front matches
-            // `naive_system_front`'s pre-noise objective bit-for-bit.
-            let explorer =
-                Explorer::with_adc_coverage_accuracy().with_scope(EvalScope::System(FIG2_SCENARIO));
-            let exploration = explorer.explore(&space, &net).expect("exploration");
-            *explorer_result.borrow_mut() = Some(front_key(&exploration.front));
-            black_box(exploration.front.len())
+            // A fresh explorer per iteration: a cold sweep, all
+            // statistics and tables computed.
+            let exploration = explorer().explore(&space, &net).expect("exploration");
+            black_box(exploration.front.len());
+            *cold.borrow_mut() = Some(exploration);
         })
     });
-    let warm = Explorer::with_adc_coverage_accuracy().with_scope(EvalScope::System(FIG2_SCENARIO));
+    let warm = explorer();
     group.bench_function("sweep_explorer_warm", |b| {
         b.iter(|| {
             let exploration = warm.explore(&space, &net).expect("exploration");
@@ -79,91 +166,123 @@ fn main() {
     });
     group.finish();
 
-    // The engine guarantee, enforced on every bench run: the cached,
-    // parallel explorer's front is bit-identical to the naive sweep's.
-    // (Skipped when a CLI filter ran only one of the two sweeps.)
-    let naive = naive_result.borrow();
-    let explorer = explorer_result.borrow();
-    if let (Some(naive), Some(explorer)) = (naive.as_ref(), explorer.as_ref()) {
-        assert_eq!(
-            naive, explorer,
-            "explorer front diverged from the naive sequential sweep"
-        );
-        println!(
-            "fronts bit-identical across naive and explorer sweeps ({} members)",
-            naive.len()
-        );
+    if let Some(cold) = cold.borrow().as_ref() {
+        assert_eq!(cold.evaluated, space.grid_len(), "every design evaluated");
+        record_metric("dse_designs", cold.evaluated as f64);
+        record_metric("dse_front_size", cold.front.len() as f64);
+        if let Some(naive) = naive.borrow().as_ref() {
+            assert_eq!(
+                *naive,
+                front_key(&cold.front),
+                "explorer front diverged from the naive sequential sweep"
+            );
+            println!(
+                "fronts bit-identical across naive and explorer sweeps ({} of {} designs)",
+                naive.len(),
+                cold.evaluated
+            );
+        }
     }
+    record_speedup(
+        "dse_speedup_naive_over_explorer",
+        "dse/sweep_naive_sequential",
+        "dse/sweep_explorer_cold",
+    );
+    record_speedup(
+        "dse_speedup_naive_over_warm",
+        "dse/sweep_naive_sequential",
+        "dse/sweep_explorer_warm",
+    );
+}
 
-    if let (Some(naive_ns), Some(cold_ns)) = (
-        entry_mean_ns("dse/sweep_naive_sequential"),
-        entry_mean_ns("dse/sweep_explorer_cold"),
-    ) {
-        let speedup = naive_ns / cold_ns;
-        println!("dse speedup (naive sequential / explorer cold): {speedup:.1}x");
-        record_metric("dse_speedup_naive_over_explorer", speedup);
-    }
-    if let (Some(naive_ns), Some(warm_ns)) = (
-        entry_mean_ns("dse/sweep_naive_sequential"),
-        entry_mean_ns("dse/sweep_explorer_warm"),
-    ) {
-        record_metric("dse_speedup_naive_over_warm", naive_ns / warm_ns);
-    }
-
-    // The ISSUE 8 staged-evaluation trajectory: a deterministic subsample
-    // of the quick scale grid (noise-twin windows, so the fingerprint
-    // dedup has real work) swept staged vs plain, fronts asserted
-    // bit-identical, speedup recorded alongside the explorer numbers.
-    // Full-grid (≥10^5 candidates) numbers come from the `dse_scale` bin.
-    let subsample = scale_subsample(scale_design_space(true), 120, 8);
-    let scale_net = scale_workload();
-    let staged_plan = SweepPlan {
+fn scale_sweeps(c: &mut Criterion) {
+    let space = scale_design_space();
+    // One matched matrix-vector product: this group measures sweep
+    // mechanics (staging, pruning), not workload realism.
+    let net = models::mvm(64, 64);
+    // 8 consecutive ids out of every SIGMAS: each kept window holds
+    // noise twins of one configuration, so the staged pass still prunes.
+    let subsample = scale_design_space().filter(|p| p.id() % SIGMAS < 8);
+    let staged = SweepPlan {
         staged: true,
         ..SweepPlan::new()
     };
-    let staged_result = RefCell::new(None);
-    let plain_result = RefCell::new(None);
+
+    let full = RefCell::new(None);
+    let staged_front = RefCell::new(None);
+    let plain_front = RefCell::new(None);
+    let sweep = |space: &DesignSpace, plan: &SweepPlan| -> Exploration {
+        // A fresh explorer per sweep: sweep against sweep, not cache
+        // warming order.
+        coverage_explorer()
+            .sweep(space, &net, plan)
+            .expect("scale sweep")
+    };
     let mut group = c.benchmark_group("dse_scale");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(1));
+    group.bench_function("staged_full", |b| {
+        b.iter(|| {
+            let exploration = sweep(&space, &staged);
+            black_box(exploration.front.len());
+            *full.borrow_mut() = Some(exploration);
+        })
+    });
     group.bench_function("subsample_staged", |b| {
         b.iter(|| {
-            let exploration = Explorer::with_adc_coverage_accuracy()
-                .sweep(&subsample, &scale_net, &staged_plan)
-                .expect("staged subsample sweep");
-            *staged_result.borrow_mut() = Some(front_key(&exploration.front));
+            let exploration = sweep(&subsample, &staged);
+            *staged_front.borrow_mut() = Some(front_key(&exploration.front));
             black_box(exploration.front.len())
         })
     });
     group.bench_function("subsample_naive", |b| {
         b.iter(|| {
-            let exploration = Explorer::with_adc_coverage_accuracy()
-                .sweep(&subsample, &scale_net, &SweepPlan::new())
-                .expect("plain subsample sweep");
-            *plain_result.borrow_mut() = Some(front_key(&exploration.front));
+            let exploration = sweep(&subsample, &SweepPlan::new());
+            *plain_front.borrow_mut() = Some(front_key(&exploration.front));
             black_box(exploration.front.len())
         })
     });
     group.finish();
-    let staged = staged_result.borrow();
-    let plain = plain_result.borrow();
-    if let (Some(staged), Some(plain)) = (staged.as_ref(), plain.as_ref()) {
+
+    if let Some(full) = full.borrow().as_ref() {
+        let grid = space.grid_len();
+        let configurations = grid / SIGMAS as usize;
+        assert!(full.completed, "the staged sweep must cover the whole grid");
+        assert_eq!(
+            (full.evaluated, full.pruned),
+            (configurations, grid - configurations),
+            "the staged pass must evaluate one design per noise orbit"
+        );
+        println!(
+            "staged full sweep: {grid} candidates -> {} evaluated, {} pruned, front of {}",
+            full.evaluated,
+            full.pruned,
+            full.front.len()
+        );
+        record_metric("dse_scale_grid", grid as f64);
+        record_metric("dse_scale_evaluated", full.evaluated as f64);
+        record_metric("dse_scale_pruned", full.pruned as f64);
+        record_metric("dse_scale_front_size", full.front.len() as f64);
+    }
+    if let (Some(staged), Some(plain)) = (
+        staged_front.borrow().as_ref(),
+        plain_front.borrow().as_ref(),
+    ) {
         assert_eq!(
             staged, plain,
             "staged front diverged from the plain unstaged sweep"
         );
         println!(
-            "staged and naive fronts bit-identical on the scale subsample ({} members)",
+            "staged and plain fronts bit-identical on the scale subsample ({} members)",
             staged.len()
         );
     }
-    if let (Some(naive_ns), Some(staged_ns)) = (
-        entry_mean_ns("dse_scale/subsample_naive"),
-        entry_mean_ns("dse_scale/subsample_staged"),
-    ) {
-        let speedup = naive_ns / staged_ns;
-        println!("dse staged speedup (naive subsample / staged subsample): {speedup:.1}x");
-        record_metric("dse_scale_speedup_staged_over_naive", speedup);
-    }
-    finalize();
+    record_speedup(
+        "dse_scale_speedup_staged_over_naive",
+        "dse_scale/subsample_naive",
+        "dse_scale/subsample_staged",
+    );
 }
+
+criterion_group!(benches, fig2_sweeps, scale_sweeps);
+criterion_main!(benches);

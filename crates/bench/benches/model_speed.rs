@@ -1,11 +1,13 @@
 //! Criterion benches behind Table II and the amortization ablation
 //! (paper Table II): per-mapping evaluation cost with and without amortizing
-//! the data-value-dependent per-action energies, and the value-exact
-//! simulator's per-activation cost.
+//! the data-value-dependent per-action energies, the value-exact
+//! simulator's per-activation cost, and the Monte-Carlo validation grid
+//! behind `results/fig_mc_accuracy.tsv`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use cimloop_bench::mc_accuracy_rows;
 use cimloop_macros::base_macro;
 use cimloop_map::Mapper;
 use cimloop_sim::{simulate_layer, ExactConfig};
@@ -96,5 +98,21 @@ fn mapping_enumeration(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, statistical_model, value_exact, mapping_enumeration);
+fn monte_carlo(c: &mut Criterion) {
+    let mut group = c.benchmark_group("monte_carlo");
+    group.sample_size(10);
+    // The whole analytic-vs-sampled grid: 8 cells of 16k trials each.
+    group.bench_function("mc_accuracy_rows", |b| {
+        b.iter(|| black_box(mc_accuracy_rows().len()))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    statistical_model,
+    value_exact,
+    mapping_enumeration,
+    monte_carlo
+);
 criterion_main!(benches);

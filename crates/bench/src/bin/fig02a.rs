@@ -19,7 +19,7 @@ use cimloop_macros::macro_c;
 use cimloop_system::StorageScenario;
 use cimloop_workload::models;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let sizes = [64u64, 128, 256, 512, 1024];
     let net = models::resnet18();
 
@@ -68,7 +68,7 @@ fn main() {
             format!("{:.3e}", system_energy[i]),
         ]);
     }
-    table.finish();
+    table.finish()?;
     println!(
         "  shared cache: {} tables ({} stats computed, {} served cached)",
         cache.len(),
@@ -88,6 +88,7 @@ fn main() {
             "NO"
         }
     );
+    Ok(())
 }
 
 fn argmin(values: &[f64]) -> usize {

@@ -14,7 +14,7 @@ use cimloop_core::Encoding;
 use cimloop_tech::TechNode;
 use cimloop_workload::models;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let resnet = models::resnet18();
     let gpt2 = models::gpt2_small();
     // [CNN workload] unsigned sparse inputs; [transformer] signed dense.
@@ -57,7 +57,7 @@ fn main() {
     for (label, a, b) in &bars {
         table.row(vec![label.clone(), fmt(a / min), fmt(b / min)]);
     }
-    table.finish();
+    table.finish()?;
 
     let max = bars
         .iter()
@@ -103,9 +103,10 @@ fn main() {
             encodings[best_idx].to_string(),
         ]);
     }
-    best.finish();
+    best.finish()?;
     println!(
         "  encoding winners: differential {} layers, offset {} layers (paper: best encoding differs per layer)",
         winners[0], winners[1]
     );
+    Ok(())
 }

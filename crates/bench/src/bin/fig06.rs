@@ -12,7 +12,7 @@ use cimloop_macros::base_macro;
 use cimloop_sim::{fixed_energy_table, simulate_layer, ExactConfig};
 use cimloop_workload::models;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let m = base_macro();
     let evaluator = m.evaluator().expect("evaluator");
     let rep = m.representation();
@@ -64,7 +64,7 @@ fn main() {
         pct(max(&stat_errs)),
         pct(max(&fixed_errs)),
     ]);
-    table.finish();
+    table.finish()?;
 
     println!("  paper: CiMLoop 3%/7% avg/max; fixed-energy 28%/70% avg/max");
     println!(
@@ -75,4 +75,5 @@ fn main() {
             "PARTIAL (check per-layer table)"
         }
     );
+    Ok(())
 }

@@ -20,7 +20,7 @@ fn anchor_layer(m: &ArrayMacro, in_bits: u32, w_bits: u32) -> Layer {
         .with_weight_bits(w_bits)
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut table = ExperimentTable::new(
         "fig07",
         "energy/throughput vs supply voltage (model vs published reference)",
@@ -124,6 +124,7 @@ fn main() {
         "".into(),
         pct(avg_t),
     ]);
-    table.finish();
+    table.finish()?;
     println!("  paper: average energy-efficiency error 7%, throughput error 2%");
+    Ok(())
 }

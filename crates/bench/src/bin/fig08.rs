@@ -58,7 +58,7 @@ fn reference_weight_bits(label: &str) -> u32 {
     }
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut table = ExperimentTable::new(
         "fig08",
         "energy/throughput vs number of input bits (model vs reference)",
@@ -99,7 +99,8 @@ fn main() {
         "".into(),
         "".into(),
     ]);
-    table.finish();
+    table.finish()?;
     println!("  paper: energy-efficiency error 6%, throughput error 5%");
     println!("  efficiency/throughput must fall as input bits grow (bit-serial cycles)");
+    Ok(())
 }

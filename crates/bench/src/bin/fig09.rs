@@ -39,7 +39,7 @@ fn macro_c_breakdown(input_bits: u32) -> Vec<(&'static str, f64)> {
     ]
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut table = ExperimentTable::new(
         "fig09",
         "energy breakdown validation (% of total)",
@@ -111,8 +111,9 @@ fn main() {
         "".into(),
         format!("{avg:.1}pp"),
     ]);
-    table.finish();
+    table.finish()?;
     println!("  paper: average discrete-component energy error 4%");
     println!("  key trend: DAC share must grow with input bits on Macro C");
     let _ = pct(0.0);
+    Ok(())
 }

@@ -33,7 +33,7 @@ fn area_breakdown(
         .collect()
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut table = ExperimentTable::new(
         "fig10",
         "area breakdown validation (% of macro total)",
@@ -111,7 +111,8 @@ fn main() {
         "".into(),
         format!("{avg:.1}pp"),
     ]);
-    table.finish();
+    table.finish()?;
     println!("  paper: average discrete-component area error 8%");
     println!("  note: components we did not model (paper's 'Misc'/'Sparsity Control') show as 0%");
+    Ok(())
 }

@@ -7,7 +7,7 @@ use cimloop_bench::{fmt, pct, rel_err, ExperimentTable};
 use cimloop_macros::{macro_b, reference};
 use cimloop_workload::{models, ValueProfile};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let m = macro_b();
     let evaluator = m.evaluator().expect("evaluator");
     let rep = m.representation();
@@ -40,7 +40,7 @@ fn main() {
             pct(rel_err(fj_per_mac, ref_fj)),
         ]);
     }
-    table.finish();
+    table.finish()?;
 
     let model_swing = model_points.last().unwrap().1 / model_points.first().unwrap().1;
     let ref_swing = model_points.last().unwrap().2 / model_points.first().unwrap().2;
@@ -50,4 +50,5 @@ fn main() {
         "  monotonically rising with MAC value: {}",
         if monotone { "YES" } else { "NO" }
     );
+    Ok(())
 }

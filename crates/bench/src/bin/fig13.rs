@@ -7,7 +7,7 @@ use cimloop_bench::{fmt, frozen, ExperimentTable};
 use cimloop_macros::{macro_b, OutputCombine};
 use cimloop_workload::models;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let operand_counts = [1u32, 2, 4, 8];
     let weight_bits = 1u32..=8;
 
@@ -56,7 +56,7 @@ fn main() {
         row.push(format!("{}-operand", operand_counts[best]));
         table.row(row);
     }
-    table.finish();
+    table.finish()?;
 
     println!(
         "  wins by adder width: 1-op {}, 2-op {}, 4-op {}, 8-op {}",
@@ -65,4 +65,5 @@ fn main() {
     println!(
         "  paper: wider adders win with more-bit weights; the 8-operand adder never has the highest density"
     );
+    Ok(())
 }

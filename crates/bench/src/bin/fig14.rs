@@ -6,7 +6,7 @@ use cimloop_bench::{fmt, frozen, ExperimentTable};
 use cimloop_macros::macro_c;
 use cimloop_workload::models;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let sizes = [64u64, 128, 256, 512, 1024];
     let max_util = |n: u64| models::mvm(n, n);
     let vit = models::vit_base();
@@ -73,6 +73,7 @@ fn main() {
             .unwrap_or(0)];
         println!("  {wl}: lowest energy/MAC at {best}x{best}");
     }
-    table.finish();
+    table.finish()?;
     println!("  paper: max-util/large-tensor keep improving with size; medium saturates; small-tensor prefers a smaller array");
+    Ok(())
 }

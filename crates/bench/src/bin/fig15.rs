@@ -7,7 +7,7 @@ use cimloop_macros::macro_d;
 use cimloop_system::{CimSystem, StorageScenario};
 use cimloop_workload::models;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let gpt2 = models::gpt2_small();
     let resnet = models::resnet18();
 
@@ -51,7 +51,8 @@ fn main() {
             ]);
         }
     }
-    table.finish();
+    table.finish()?;
     println!("  paper: weight-stationary sharply cuts DRAM energy; remaining DRAM I/O");
     println!("         movement caps the benefit until inputs/outputs stay on-chip");
+    Ok(())
 }

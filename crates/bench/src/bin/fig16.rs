@@ -13,7 +13,7 @@ fn at_7nm(m: ArrayMacro) -> ArrayMacro {
     m.with_node(7.0).with_adc_bits(8).uncalibrated()
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let macros: Vec<(&str, ArrayMacro)> = vec![
         ("A", at_7nm(macro_a())),
         ("B", at_7nm(macro_b())),
@@ -56,7 +56,7 @@ fn main() {
             table.row(row);
         }
     }
-    table.finish();
+    table.finish()?;
 
     println!(
         "  wins: A {}, B {}, D {} (of 40 precision points)",
@@ -64,4 +64,5 @@ fn main() {
     );
     println!("  paper: the lowest-energy macro depends on the operand precisions —");
     println!("         A leverages few-bit operands; B/D win with more-bit operands");
+    Ok(())
 }

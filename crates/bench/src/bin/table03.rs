@@ -4,7 +4,7 @@
 use cimloop_bench::ExperimentTable;
 use cimloop_macros::{macro_a, macro_b, macro_c, macro_d, reference, ArrayMacro};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut table = ExperimentTable::new(
         "table03",
         "parameterized attributes of Macros A-D",
@@ -46,6 +46,7 @@ fn main() {
             m.adc_bits().to_string(),
         ]);
     }
-    table.finish();
+    table.finish()?;
     println!("  * activates a subset of the array at once (Macro D)");
+    Ok(())
 }

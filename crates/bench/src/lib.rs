@@ -4,15 +4,14 @@
 #![warn(missing_docs)]
 
 use std::fs;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use cimloop_core::{CoreError, EnergyTableCache, NoiseSpec};
-use cimloop_dse::{summarize, DesignReport, DesignSpace, Explorer, ParetoFront};
-use cimloop_macros::{base_macro, macro_c, ArrayMacro, OutputCombine};
+use cimloop_dse::{DesignReport, DesignSpace, Explorer};
+use cimloop_macros::{base_macro, ArrayMacro};
 use cimloop_sim::{mc_layer, McConfig};
-use cimloop_spec::reflect::Value;
-use cimloop_system::{CimSystem, StorageScenario};
 use cimloop_workload::{models, Workload};
 
 /// Freezes a macro's calibration: computes the energy/latency scales at the
@@ -52,17 +51,12 @@ impl ExperimentTable {
     }
 
     /// Prints the table and writes `results/<name>.tsv`.
-    pub fn finish(&self) {
-        self.print();
-        self.write_tsv();
-    }
-
-    /// Prints the table without writing a TSV. Use this for *measured*
-    /// quantities (rates, wall times): TSVs under `results/` are treated
-    /// as goldens by the `golden-results` CI job, and timing numbers can
-    /// never be bit-stable.
-    pub fn finish_stdout(&self) {
-        self.print();
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error of the write, naming the file.
+    pub fn finish(&self) -> io::Result<()> {
+        self.finish_to(&results_dir())
     }
 
     fn print(&self) {
@@ -112,24 +106,31 @@ impl ExperimentTable {
     }
 
     /// Prints the table and writes `<dir>/<name>.tsv`.
-    pub fn finish_to(&self, dir: &std::path::Path) {
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error of the write, naming the file.
+    pub fn finish_to(&self, dir: &Path) -> io::Result<()> {
         self.print();
-        self.write_tsv_to(dir);
+        let path = write_tsv(dir, &self.name, self.to_tsv().as_bytes())?;
+        println!("  [written {}]", path.display());
+        Ok(())
     }
+}
 
-    fn write_tsv(&self) {
-        self.write_tsv_to(&results_dir());
-    }
-
-    fn write_tsv_to(&self, dir: &std::path::Path) {
-        let _ = fs::create_dir_all(dir);
-        let path = dir.join(format!("{}.tsv", self.name));
-        if let Err(e) = fs::write(&path, self.to_tsv()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("  [written {}]", path.display());
-        }
-    }
+/// Writes `tsv` to `<dir>/<name>.tsv`, creating `dir` first, and returns
+/// the file's path. Every result TSV, batch or served, is written here.
+///
+/// # Errors
+///
+/// Returns the I/O error of creating `dir` or writing the file, with the
+/// file's path in its message.
+pub fn write_tsv(dir: &Path, name: &str, tsv: &[u8]) -> io::Result<PathBuf> {
+    let path = dir.join(format!("{name}.tsv"));
+    fs::create_dir_all(dir)
+        .and_then(|()| fs::write(&path, tsv))
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display())))?;
+    Ok(path)
 }
 
 /// Parses a result TSV into a reflected [`cimloop_spec::Value`]:
@@ -184,10 +185,6 @@ pub fn tsv_value(text: &str) -> cimloop_spec::Value {
 pub fn diff_tsv(old: &str, new: &str) -> String {
     cimloop_spec::render_diff(&cimloop_spec::diff(&tsv_value(old), &tsv_value(new)))
 }
-
-/// The storage scenario of the Fig 2 co-design experiments (the full
-/// system around the macro; weights re-fetched from DRAM).
-pub const FIG2_SCENARIO: StorageScenario = StorageScenario::AllTensorsFromDram;
 
 /// The cell-variation sigmas of the `fig_mc_accuracy` validation grid,
 /// the same levels `examples/specs/fig09_noise.yaml` sweeps
@@ -264,109 +261,6 @@ pub fn mc_accuracy_rows() -> Vec<McAccuracyRow> {
     rows
 }
 
-/// The Fig 2 co-design space: two output-combining variants of the ReRAM
-/// macro (direct ADC readout vs Macro C's analog accumulator) × array
-/// sizes × DAC resolutions × ADC resolutions. The `quick` grid (24
-/// designs) is what CI smoke runs and the `dse` criterion bench measure;
-/// the full grid (54 designs) is the `dse_sweep` experiment. One
-/// definition serves both so the published speedup and the CI
-/// bit-identicality check always exercise the same experiment.
-pub fn fig2_design_space(quick: bool) -> DesignSpace {
-    let direct = frozen(&macro_c()).with_output_combine(OutputCombine::None);
-    let accum = frozen(&macro_c()).with_output_combine(OutputCombine::AnalogAccumulator);
-    let space = DesignSpace::new()
-        .variant("c-direct", direct)
-        .variant("c-accum", accum);
-    if quick {
-        space
-            .square_arrays([128, 256])
-            .dac_bits([1, 2])
-            .adc_bits([6, 8, 10])
-    } else {
-        space
-            .square_arrays([128, 256, 512])
-            .dac_bits([1, 2, 4])
-            .adc_bits([6, 8, 10])
-    }
-}
-
-/// The Fig 2 workload: the whole of ResNet18, or a 6-layer prefix for
-/// quick runs.
-pub fn fig2_workload(quick: bool) -> Workload {
-    let net = models::resnet18();
-    if quick {
-        Workload::new("resnet18-prefix", net.layers()[..6].to_vec()).expect("non-empty")
-    } else {
-        net
-    }
-}
-
-/// The hand-rolled sweep the DSE explorer replaces, kept as the speedup
-/// and bit-identicality baseline: fresh system evaluator per design,
-/// uncached evaluation, sequential.
-pub fn naive_system_front(
-    space: &DesignSpace,
-    net: &Workload,
-    scenario: StorageScenario,
-) -> ParetoFront<DesignReport> {
-    let mut front = ParetoFront::new();
-    for point in space.designs() {
-        let system = CimSystem::new(point.cim_macro().clone()).with_scenario(scenario);
-        let evaluator = system.evaluator().expect("system evaluator");
-        let run = evaluator
-            .evaluate(net, &system.representation())
-            .expect("naive evaluation");
-        let report = summarize(&point, &evaluator, &run);
-        front.insert(point.id(), report.objectives(), report);
-    }
-    front
-}
-
-/// The production-scale DSE grid (ISSUE 8): 96 distinct macro
-/// configurations (2 output-combining variants × 4 array sizes × 2 DAC ×
-/// 3 ADC × 2 cell widths) crossed with a dense cell-variation noise axis,
-/// for ≥10^5 grid candidates (1200 sigmas → 115 200; the quick grid's
-/// 120 sigmas → 11 520). Under the ADC-coverage accuracy objective the
-/// noise axis provably never changes any objective, so the staged
-/// pre-pass collapses each noise orbit to its smallest-id representative
-/// — the grid sweeps in ~96 full evaluations instead of ~10^5.
-pub fn scale_design_space(quick: bool) -> DesignSpace {
-    let sigmas = if quick { 120 } else { 1200 };
-    DesignSpace::new()
-        .variant("direct", base_macro().uncalibrated())
-        .variant(
-            "accum",
-            base_macro()
-                .uncalibrated()
-                .with_output_combine(OutputCombine::AnalogAccumulator),
-        )
-        .square_arrays([32, 64, 128, 256])
-        .dac_bits([1, 2])
-        .adc_bits([4, 6, 8])
-        .cell_bits([1, 2])
-        .noise_specs(
-            (0..sigmas).map(|i| {
-                NoiseSpec::new().with_cell_variation(f64::from(i) * 0.25 / f64::from(sigmas))
-            }),
-        )
-}
-
-/// The scale grid's workload: one matched matrix-vector product — the
-/// point of `dse_scale` is sweep mechanics (staging, pruning, sharding),
-/// not workload realism, so evaluation stays as cheap as possible.
-pub fn scale_workload() -> Workload {
-    models::mvm(64, 64)
-}
-
-/// Thins `space` to the deterministic subsample the staged-vs-naive
-/// bit-identity check runs on: `span` consecutive grid ids out of every
-/// `stride` (consecutive ids differ only along the innermost noise axis,
-/// so each kept window carries noise-twins for the staged pass to prune).
-/// Ids are assigned before filtering, so the subsample is stable.
-pub fn scale_subsample(space: DesignSpace, stride: u64, span: u64) -> DesignSpace {
-    space.filter(move |p| p.id() % stride < span)
-}
-
 /// Explores `space` on `workload` and returns *every* evaluated design's
 /// report in id order (not just the Pareto front) — the shape the figure
 /// binaries need for their row-per-design tables. Small grids only; big
@@ -389,100 +283,6 @@ pub fn explore_collect(
     let mut rows = rows.into_inner().expect("rows lock poisoned");
     rows.sort_by_key(|r| r.point.id());
     Ok(rows)
-}
-
-/// Merges a run's timings into a `BENCH_*.json` perf artifact, in the
-/// same schema the vendored criterion harness emits (`entries` with mean
-/// ns, plus derived scalar `metrics`), so experiment binaries can seed
-/// the perf trajectory without linking the bench harness. Entries and
-/// metrics are keyed by name, this run's values win on collision, and
-/// everything the existing file tracked but this run didn't re-measure
-/// survives untouched. This lets independent binaries (`dse_sweep`,
-/// `dse_scale`) share one `BENCH_dse.json` trajectory file. `quick` only
-/// marks the file quick when every contributing run was quick — a full
-/// baseline is never demoted by a later smoke run.
-pub fn merge_bench_json(
-    path: &std::path::Path,
-    quick: bool,
-    entries: &[(&str, f64)],
-    metrics: &[(&str, f64)],
-) {
-    let mut merged_entries: Vec<(String, f64)> = Vec::new();
-    let mut merged_metrics: Vec<(String, f64)> = Vec::new();
-    let mut merged_quick = quick;
-    if let Ok(text) = fs::read_to_string(path) {
-        match cimloop_spec::json::parse(&text) {
-            Ok(root) => {
-                merged_quick = quick && root.get("quick").and_then(Value::raw) == Some("true");
-                for item in root
-                    .get("entries")
-                    .and_then(Value::items)
-                    .unwrap_or_default()
-                {
-                    let name = item.get("name").and_then(Value::raw);
-                    let ns = item
-                        .get("mean_ns")
-                        .and_then(Value::raw)
-                        .and_then(|raw| raw.parse::<f64>().ok());
-                    if let (Some(name), Some(ns)) = (name, ns) {
-                        merged_entries.push((name.to_owned(), ns));
-                    }
-                }
-                if let Some(Value::Map(pairs)) = root.get("metrics") {
-                    for (name, value) in pairs {
-                        if let Some(v) = value.raw().and_then(|raw| raw.parse::<f64>().ok()) {
-                            merged_metrics.push((name.clone(), v));
-                        }
-                    }
-                }
-            }
-            Err(e) => eprintln!(
-                "warning: {} exists but does not parse ({e}); rewriting it from this run alone",
-                path.display()
-            ),
-        }
-    }
-    let upsert = |list: &mut Vec<(String, f64)>, name: &str, value: f64| match list
-        .iter_mut()
-        .find(|(n, _)| n == name)
-    {
-        Some(slot) => slot.1 = value,
-        None => list.push((name.to_owned(), value)),
-    };
-    for (name, seconds) in entries {
-        upsert(&mut merged_entries, name, seconds * 1e9);
-    }
-    for (name, value) in metrics {
-        upsert(&mut merged_metrics, name, *value);
-    }
-
-    let mut out = format!(
-        "{{\n  \"quick\": {},\n  \"entries\": [\n",
-        if merged_quick { "true" } else { "false" }
-    );
-    for (i, (name, ns)) in merged_entries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"mean_ns\": {ns:.1}, \"iters\": 1}}{}\n",
-            if i + 1 < merged_entries.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ],\n  \"metrics\": {");
-    for (i, (name, value)) in merged_metrics.iter().enumerate() {
-        out.push_str(&format!(
-            "{}\"{name}\": {value:.6}",
-            if i == 0 { "" } else { ", " }
-        ));
-    }
-    out.push_str("}\n}\n");
-    if let Err(e) = fs::write(path, out) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("  [written {}]", path.display());
-    }
 }
 
 /// The `results/` directory at the workspace root.
@@ -527,7 +327,7 @@ mod tests {
     fn table_roundtrip() {
         let mut t = ExperimentTable::new("test_table", "unit test", &["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
-        t.finish();
+        t.finish().unwrap();
         let path = results_dir().join("test_table.tsv");
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.contains("a\tb"));

@@ -19,11 +19,9 @@ use std::path::PathBuf;
 
 /// `(file, fnv1a64 hash, length in bytes)` for every enforced golden.
 ///
-/// `network_sweep.tsv` pins the *tiny* model's deterministic record (the
-/// variant CI regenerates); running `network_sweep vit` locally
-/// overwrites it with the vit row — `git checkout -- results/` restores
-/// it, same as the BENCH_*.json quick-mode gotcha. Seven goldens come
-/// from the `cimloop` CLI: `scenario_custom.tsv` from
+/// `network_sweep.tsv` pins the tiny model's deterministic engine record,
+/// which the `network_sweep` binary writes. Seven goldens come from the
+/// `cimloop` CLI: `scenario_custom.tsv` from
 /// `examples/specs/custom_macro.yaml`, and `dse_accuracy`, `dse_grid`
 /// (the shard/merge smoke's single-process reference), `fig02b`,
 /// `fig09_noise`, `fig12`, and `table02` from the spec of the same name.

@@ -9,9 +9,14 @@
 //! survey table, mirroring the original plug-in's regression over the
 //! Murmann ADC survey.
 
+use std::ops::RangeInclusive;
+
 use cimloop_tech::TechNode;
 
 use crate::{CircuitError, ComponentModel, NoiseParams, ValueContext};
+
+/// The resolutions [`SarAdc::new`] accepts, bits.
+pub const ADC_RESOLUTION: RangeInclusive<u32> = 1..=14;
 
 /// One row of the embedded ADC survey: (resolution bits, node nm,
 /// energy per conversion in femtojoules, area in mm²).
@@ -142,10 +147,13 @@ impl SarAdc {
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidParameter`] if `resolution` is outside
-    /// `1..=14` or `sample_rate` is not positive.
+    /// [`ADC_RESOLUTION`] or `sample_rate` is not positive.
     pub fn new(resolution: u32, node: TechNode, sample_rate: f64) -> Result<Self, CircuitError> {
-        if resolution == 0 || resolution > 14 {
-            return Err(CircuitError::param("resolution", "must be in 1..=14"));
+        if !ADC_RESOLUTION.contains(&resolution) {
+            return Err(CircuitError::param(
+                "resolution",
+                format!("must be in {ADC_RESOLUTION:?}"),
+            ));
         }
         if !(sample_rate.is_finite() && sample_rate > 0.0) {
             return Err(CircuitError::param("sample_rate", "must be positive"));

@@ -13,6 +13,8 @@
 //! - [`PulseDriver`]: a wordline pulse driver acting as a 1-bit DAC; energy
 //!   is spent only when the driven bit is one.
 
+use std::ops::RangeInclusive;
+
 use cimloop_tech::{scaling, TechNode};
 
 use crate::{CircuitError, ComponentModel, ValueContext};
@@ -24,9 +26,16 @@ const CAP_DAC_UNIT_45NM: f64 = 6.0e-15;
 /// Reference per-step energy for the current-steering DAC at 45 nm, joules.
 const CUR_DAC_UNIT_45NM: f64 = 9.0e-15;
 
+/// The resolutions the multi-bit DACs ([`CurrentDac`], [`CapacitiveDac`])
+/// accept, bits.
+pub const DAC_RESOLUTION: RangeInclusive<u32> = 1..=12;
+
 fn check_resolution(resolution: u32) -> Result<(), CircuitError> {
-    if resolution == 0 || resolution > 12 {
-        return Err(CircuitError::param("resolution", "must be in 1..=12"));
+    if !DAC_RESOLUTION.contains(&resolution) {
+        return Err(CircuitError::param(
+            "resolution",
+            format!("must be in {DAC_RESOLUTION:?}"),
+        ));
     }
     Ok(())
 }
@@ -49,7 +58,7 @@ impl CurrentDac {
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidParameter`] for resolutions outside
-    /// `1..=12`.
+    /// [`DAC_RESOLUTION`].
     pub fn new(resolution: u32, node: TechNode) -> Result<Self, CircuitError> {
         check_resolution(resolution)?;
         Ok(CurrentDac {
@@ -117,7 +126,7 @@ impl CapacitiveDac {
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidParameter`] for resolutions outside
-    /// `1..=12`.
+    /// [`DAC_RESOLUTION`].
     pub fn new(resolution: u32, node: TechNode) -> Result<Self, CircuitError> {
         check_resolution(resolution)?;
         Ok(CapacitiveDac {

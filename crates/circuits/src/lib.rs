@@ -64,6 +64,8 @@ mod library;
 pub mod memory;
 mod model;
 
+pub use adc::ADC_RESOLUTION;
+pub use dac::DAC_RESOLUTION;
 pub use error::CircuitError;
 pub use library::{converter_resolution, is_adc_class, Library};
 pub use model::{BoxedModel, ComponentModel, NoiseParams, ValueContext};

@@ -78,6 +78,8 @@ pub enum CliError {
     Core(CoreError),
     /// A scenario that parses but cannot be run as requested.
     Usage(String),
+    /// A result file that could not be written.
+    Io(std::io::Error),
 }
 
 impl CliError {
@@ -92,6 +94,7 @@ impl fmt::Display for CliError {
             CliError::Spec(e) => write!(f, "{e}"),
             CliError::Core(e) => write!(f, "{e}"),
             CliError::Usage(message) => f.write_str(message),
+            CliError::Io(e) => write!(f, "{e}"),
         }
     }
 }
@@ -101,6 +104,7 @@ impl std::error::Error for CliError {
         match self {
             CliError::Spec(e) => Some(e),
             CliError::Core(e) => Some(e),
+            CliError::Io(e) => Some(e),
             CliError::Usage(_) => None,
         }
     }
@@ -115,6 +119,12 @@ impl From<SpecError> for CliError {
 impl From<CoreError> for CliError {
     fn from(e: CoreError) -> Self {
         CliError::Core(e)
+    }
+}
+
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::Io(e)
     }
 }
 
@@ -355,6 +365,10 @@ pub fn validate_doc_with(
     // axis fails validation with the same line-numbered error.
     if doc.section("Space").is_some() && !doc.architectures().is_empty() {
         runners::space_for(doc)?;
+    }
+    // Likewise an `output_reuse` sweep's groupings and workloads lists.
+    if kind == "output_reuse" {
+        runners::output_reuse_plan(doc)?;
     }
     // Reflection fixpoint check: the document must survive its own
     // canonical writer. Drift here means a raw token or a field would be

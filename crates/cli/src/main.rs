@@ -231,7 +231,7 @@ fn run_kind(
         // The dse runner can stop early (shard or budget); then the front
         // lives in the checkpoint and no TSV is written.
         match dse_with(doc, &RunContext::new(), dse_opts)? {
-            Some(table) => table.finish_to(out_dir),
+            Some(table) => table.finish_to(out_dir)?,
             None => println!("  partial run: no TSV written (merge or resume to finish)"),
         }
         return Ok(());
@@ -242,8 +242,7 @@ fn run_kind(
              got `experiment: {kind}`"
         )));
     }
-    let table = run_scenario(doc)?;
-    table.finish_to(out_dir);
+    run_scenario(doc)?.finish_to(out_dir)?;
     Ok(())
 }
 
@@ -296,11 +295,8 @@ fn merge_main(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match merge_fronts(&doc, checkpoints) {
-        Ok(table) => {
-            table.finish_to(&out_dir);
-            ExitCode::SUCCESS
-        }
+    match merge_fronts(&doc, checkpoints).and_then(|table| Ok(table.finish_to(&out_dir)?)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{}: {e}", spec.display());
             ExitCode::FAILURE
@@ -562,16 +558,15 @@ fn request_main(args: &[String]) -> ExitCode {
         };
         match response {
             Ok(Response::Ok { name, body }) => {
-                if let Err(e) = std::fs::create_dir_all(&out_dir) {
-                    eprintln!("cimloop request: cannot create {}: {e}", out_dir.display());
-                    return ExitCode::FAILURE;
+                match cimloop_bench::write_tsv(&out_dir, &name, &body) {
+                    Ok(path) => {
+                        println!("{}: served `{name}` -> {}", spec.display(), path.display())
+                    }
+                    Err(e) => {
+                        eprintln!("cimloop request: {e}");
+                        return ExitCode::FAILURE;
+                    }
                 }
-                let path = out_dir.join(format!("{name}.tsv"));
-                if let Err(e) = std::fs::write(&path, &body) {
-                    eprintln!("cimloop request: cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-                println!("{}: served `{name}` -> {}", spec.display(), path.display());
             }
             Ok(Response::Err(message)) => {
                 eprintln!("{}: {message}", spec.display());

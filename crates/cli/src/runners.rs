@@ -604,10 +604,13 @@ pub fn compare(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTable, C
     Ok(out)
 }
 
-/// `experiment: output_reuse` — the Fig 12 sweep: wire-sum output reuse
-/// across N columns, per workload, energies split into ADC+accumulate /
-/// DAC / other and normalized per workload.
-pub fn output_reuse(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTable, CliError> {
+/// The base architecture and the `!Sweep` `groupings:` and `workloads:`
+/// lists of an `output_reuse` scenario, checked: neither list may be
+/// empty, and every grouping must satisfy `1 <= g <= cols`. `validate`
+/// runs the same checks.
+pub(crate) fn output_reuse_plan(
+    doc: &ScenarioDoc,
+) -> Result<(ArrayMacro, Vec<u64>, Vec<String>), CliError> {
     let arch = doc
         .architecture()
         .ok_or_else(|| CliError::usage("scenario has no !Architecture section".to_owned()))?;
@@ -616,27 +619,49 @@ pub fn output_reuse(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTab
     let groupings = section
         .u64_list("groupings")?
         .ok_or_else(|| CliError::usage("!Sweep needs a `groupings:` list".to_owned()))?;
-    // A grouping divides the array's columns into wire-summed groups:
-    // `0` would divide by zero deriving the matched-utilization shape,
-    // and `g > cols` would build a degenerate zero-column workload —
-    // both are spec errors, reported with the declaring line.
-    let groupings_line = section.get("groupings").map_or(section.line(), |e| e.line);
-    for &g in &groupings {
-        if g == 0 || g > base.cols() {
-            return Err(CliError::Spec(SpecError::Parse {
-                line: groupings_line,
-                message: format!(
-                    "`groupings:` value {g} is invalid: each grouping must satisfy \
-                     1 <= g <= cols ({} columns on architecture `{}`)",
-                    base.cols(),
-                    base.name()
-                ),
-            }));
-        }
-    }
     let workload_keys = section
         .str_list("workloads")?
         .ok_or_else(|| CliError::usage("!Sweep needs a `workloads:` list".to_owned()))?;
+    let spec_error = |key: &str, message: String| {
+        CliError::Spec(SpecError::Parse {
+            line: section.get(key).map_or(section.line(), |e| e.line),
+            message,
+        })
+    };
+    // An empty list would write a header-only table.
+    for (key, len) in [
+        ("groupings", groupings.len()),
+        ("workloads", workload_keys.len()),
+    ] {
+        if len == 0 {
+            return Err(spec_error(
+                key,
+                format!("`{key}: []` is invalid: an output_reuse sweep needs at least one entry"),
+            ));
+        }
+    }
+    // A grouping divides the array's columns into wire-summed groups:
+    // `0` would divide by zero deriving the matched-utilization shape,
+    // and `g > cols` would build a degenerate zero-column workload.
+    if let Some(g) = groupings.iter().find(|&&g| g == 0 || g > base.cols()) {
+        return Err(spec_error(
+            "groupings",
+            format!(
+                "`groupings:` value {g} is invalid: each grouping must satisfy \
+                 1 <= g <= cols ({} columns on architecture `{}`)",
+                base.cols(),
+                base.name()
+            ),
+        ));
+    }
+    Ok((base, groupings, workload_keys))
+}
+
+/// `experiment: output_reuse` — the Fig 12 sweep: wire-sum output reuse
+/// across N columns, per workload, energies split into ADC+accumulate /
+/// DAC / other and normalized per workload.
+pub fn output_reuse(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTable, CliError> {
+    let (base, groupings, workload_keys) = output_reuse_plan(doc)?;
 
     // The matched-utilization workload: a convolution whose window matches
     // the column group and whose channels fill the rows.

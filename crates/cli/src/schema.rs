@@ -15,6 +15,7 @@
 // The panic policy: a malformed spec is a line-numbered error, never a panic.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
+use cimloop_core::{ADC_RESOLUTION, DAC_RESOLUTION};
 use cimloop_dse::SpaceSection;
 use cimloop_noise::NoiseSection;
 use cimloop_spec::reflect::nearest;
@@ -51,10 +52,10 @@ cimloop_spec::reflect_section! {
         rows: [opt count], "array rows override";
         cols: [opt count], "array columns override";
         node_nm: [opt f64], "technology node override, nm";
-        adc_bits: [opt u32], "ADC resolution override, bits";
+        adc_bits: [opt u32 in ADC_RESOLUTION], "ADC resolution override, bits";
         adc_rate: [opt f64], "ADC sample-rate override, Hz";
         cell_bits: [opt u32], "bits stored per cell";
-        dac_bits: [opt u32], "DAC resolution override, bits";
+        dac_bits: [opt u32 in DAC_RESOLUTION], "DAC resolution override, bits";
         cell_class: [opt str], "memory-cell component class override";
         dac_class: [opt str], "DAC component class override";
         storage_banks: [opt count], "system storage-bank count";
@@ -85,8 +86,8 @@ cimloop_spec::reflect_section! {
     /// requires the subset it consumes).
     pub struct SweepSection: "Sweep" {
         variations: [list sigma], "cell-variation sigma axis";
-        adc_bits: [list u64], "ADC-resolution axis, bits";
-        dac_bits: [list u64], "DAC-resolution axis, bits";
+        adc_bits: [list u32 in ADC_RESOLUTION], "ADC-resolution axis, bits";
+        dac_bits: [list u32 in DAC_RESOLUTION], "DAC-resolution axis, bits";
         square_arrays: [list count], "array-size axis: each n evaluates an nxn array";
         metrics: [list str], "report columns: snr_db, enob, energy, energy_per_mac, tops_per_watt, gops";
         groupings: [list u64], "output_reuse: wire-summed columns per output group";

@@ -502,6 +502,65 @@ fn output_reuse_rejects_zero_and_oversized_groupings() {
 }
 
 #[test]
+fn output_reuse_rejects_empty_groupings_and_workloads() {
+    // Regression: an empty list wrote a header-only table and exited 0,
+    // and `validate` passed it. Both paths must fail at the list's line.
+    for (lists, cited, key) in [
+        (
+            "groupings: []\nworkloads: [max_util]",
+            "groupings: []",
+            "groupings",
+        ),
+        (
+            "groupings: [1, 2]\nworkloads: []",
+            "workloads: []",
+            "workloads",
+        ),
+    ] {
+        let spec = format!(
+            "!Scenario\nname: reuse_empty\nexperiment: output_reuse\n\
+             !Architecture\nmacro: base\n!Sweep\n{lists}\n"
+        );
+        let line = 1 + spec.lines().position(|l| l == cited).expect("cited line");
+        let doc = ScenarioDoc::parse(&spec).expect("spec parses");
+        let validated = validate_doc_with(&doc, &ValidateOptions::default()).map(|_| ());
+        for result in [validated, run_scenario(&doc).map(|_| ())] {
+            match result {
+                Err(CliError::Spec(SpecError::Parse { line: at, message })) => {
+                    assert_eq!(at, line, "error must point at `{cited}`: {message}");
+                    assert!(message.contains(key), "{message}");
+                }
+                Err(other) => panic!("expected a line-numbered parse error, got {other}"),
+                Ok(()) => panic!("`{cited}` must be rejected"),
+            }
+        }
+    }
+}
+
+#[test]
+fn evaluate_exits_nonzero_when_the_tsv_cannot_be_written() {
+    // Regression: a failed write printed a warning and exited 0, so a CI
+    // diff of results/ would compare the committed file with itself.
+    let dir = temp_dir("unwritable_out");
+    let out = dir.join("a_file");
+    std::fs::write(&out, "").expect("placeholder file");
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_cimloop"))
+        .arg("evaluate")
+        .arg(repo_root().join("examples/specs/custom_macro.yaml"))
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("cimloop runs");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&out.join("scenario_custom.tsv").display().to_string()),
+        "the error must name the path: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn resume_without_checkpoint_is_a_usage_error_not_a_panic() {
     // Regression: `--resume` with no `--checkpoint FILE` used to hit an
     // `expect` deep in the runner. The panic policy (P001) demands a
@@ -599,6 +658,32 @@ fn out_of_range_widths_and_counts_are_line_numbered_errors() {
         let spec = custom.replacen("\nbits: 2\n", &format!("\nbits: {bits}\n"), 1);
         cases.push((spec, "!Architecture", "cell_bits"));
     }
+    // Converter widths outside what the circuit models accept used to
+    // fail `evaluate` with no line and pass `validate`, and a 0-bit DAC
+    // was clamped to 1 bit and evaluated.
+    let fig09 = read("fig09_noise.yaml");
+    cases.extend([
+        (
+            grid.replacen("dac_bits: [1, 2]", "dac_bits: [0, 1]", 1),
+            "dac_bits: [0, 1]",
+            "dac_bits",
+        ),
+        (
+            grid.replacen("adc_bits: [4, 8]", "adc_bits: [4, 15]", 1),
+            "adc_bits: [4, 15]",
+            "adc_bits",
+        ),
+        (
+            fig09.replacen("adc_bits: [12, 10, 8, 6, 4]", "adc_bits: [16, 4]", 1),
+            "adc_bits: [16, 4]",
+            "adc_bits",
+        ),
+        (
+            fig09.replacen("adc_bits: [12, 10, 8, 6, 4]", "dac_bits: [0, 1, 2]", 1),
+            "dac_bits: [0, 1, 2]",
+            "dac_bits",
+        ),
+    ]);
     // A tree that is not macro-shaped used to fail with no line at all.
     let renamed = custom.replacen("name: custom_macro\n", "name: custom_array\n", 1);
     cases.push((renamed, "!Architecture", "_macro"));
@@ -648,6 +733,10 @@ fn out_of_range_widths_and_counts_are_line_numbered_errors() {
     let space_sigma = grid.replacen("variations: [0.0, 0.05, 0.1]", "variations: [-0.1, 0.1]", 1);
     cases.push((space_sigma, "variations: [-0.1, 0.1]", "variations"));
     for (settings, key) in [
+        ("dac_bits: 0", "dac_bits"),
+        ("dac_bits: 13", "dac_bits"),
+        ("adc_bits: 0", "adc_bits"),
+        ("adc_bits: 15", "adc_bits"),
         ("rows: 0", "rows"),
         ("cols: 0", "cols"),
         ("storage_banks: 0", "storage_banks"),

@@ -97,6 +97,10 @@ pub use parallel::par_try_map;
 pub use pipeline::{reduction_rows_of, Pipeline, ValueStats};
 pub use representation::Representation;
 
+// The converter widths the circuit models accept: spec schemas check
+// `adc_bits`/`dac_bits` against these at import.
+pub use cimloop_circuits::{ADC_RESOLUTION, DAC_RESOLUTION};
+
 // The statistical non-ideality subsystem (cell variation, read noise,
 // ADC error) composes into the pipeline after the column-sum
 // convolution; re-exported so evaluator callers can configure it without

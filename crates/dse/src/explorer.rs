@@ -318,13 +318,6 @@ impl Explorer {
         }
     }
 
-    /// An explorer scoring accuracy with the legacy ADC-coverage proxy —
-    /// the pre-noise behaviour, kept for golden continuity (the committed
-    /// `dse_sweep` front was produced under this objective).
-    pub fn with_adc_coverage_accuracy() -> Self {
-        Self::new().with_accuracy(AccuracyObjective::AdcCoverage)
-    }
-
     /// Sets the evaluation scope.
     pub fn with_scope(mut self, scope: EvalScope) -> Self {
         self.scope = scope;
@@ -732,10 +725,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_constructor_scores_adc_coverage() {
-        let explorer = Explorer::with_adc_coverage_accuracy();
-        assert_eq!(explorer.accuracy(), AccuracyObjective::AdcCoverage);
+    fn accuracy_objective_defaults_to_output_snr() {
         assert_eq!(Explorer::new().accuracy(), AccuracyObjective::OutputSnr);
+        let explorer = Explorer::new().with_accuracy(AccuracyObjective::AdcCoverage);
+        assert_eq!(explorer.accuracy(), AccuracyObjective::AdcCoverage);
     }
 
     #[test]
@@ -835,7 +828,9 @@ mod tests {
             cimloop_noise::NoiseSpec::new().with_cell_variation(0.1),
         ]);
         let net = tiny_workload();
-        let explorer = Explorer::with_adc_coverage_accuracy().with_threads(2);
+        let explorer = Explorer::new()
+            .with_accuracy(AccuracyObjective::AdcCoverage)
+            .with_threads(2);
         let plain = explorer.explore(&space, &net).unwrap();
         assert_eq!(plain.evaluated, 16);
         let staged = explorer

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use cimloop_core::{Encoding, Representation};
+use cimloop_core::{Encoding, Representation, ADC_RESOLUTION, DAC_RESOLUTION};
 use cimloop_macros::ArrayMacro;
 use cimloop_noise::NoiseSpec;
 
@@ -20,8 +20,8 @@ cimloop_spec::reflect_section! {
     /// constraints.
     pub struct SpaceSection: "Space" {
         square_arrays: [list count], "array-size axis: each n builds an nxn array";
-        dac_bits: [list u32], "DAC-resolution axis, bits";
-        adc_bits: [list u32], "ADC-resolution axis, bits";
+        dac_bits: [list u32 in DAC_RESOLUTION], "DAC-resolution axis, bits";
+        adc_bits: [list u32 in ADC_RESOLUTION], "ADC-resolution axis, bits";
         cell_bits: [list u32], "cell bit-width axis";
         variations: [list sigma], "cell-variation sigma axis, realized as a NoiseSpec axis";
         max_area_mm2: [opt f64], "stage-one screen: drop candidates whose total area exceeds this, mm2";
@@ -229,9 +229,10 @@ impl DesignSpace {
     /// malformed lists, or an axis that is declared but empty (an empty
     /// axis would multiply the grid down to zero candidates — the
     /// explorer refuses to "sweep" nothing, so the mistake is reported
-    /// here with the axis's own line number). A `dac_bits` or `cell_bits`
-    /// value that would build a design outside `1..=16` bits is reported
-    /// at its axis's line too.
+    /// here with the axis's own line number). A `dac_bits` value outside
+    /// [`DAC_RESOLUTION`], an `adc_bits` value outside [`ADC_RESOLUTION`],
+    /// and a `cell_bits` value that would build a design outside `1..=16`
+    /// bits are reported at their axis's line too.
     pub fn with_section(
         self,
         section: &cimloop_spec::Section,
@@ -273,28 +274,20 @@ impl DesignSpace {
         if let Some(floor) = axes.min_coverage {
             space = space.min_coverage(floor);
         }
-        // `ArrayMacro::representation` relies on valid slice widths, so
-        // check each variant's DAC × cell pair with the bound
-        // `Representation::new` enforces. The variants were validated when
-        // resolved, so a bad pair comes from an axis: cite its line.
-        let check = |key: &str, dac: u32, cell: u32| {
-            Representation::new(Encoding::TwosComplement, Encoding::Offset, dac, cell)
-                .map(drop)
-                .map_err(|e| cimloop_spec::SpecError::Parse {
-                    line: section.get(key).map_or(section.line(), |entry| entry.line),
-                    message: format!("!Space axis `{key}`: {e}"),
-                })
-        };
-        for (_, base) in &space.variants {
-            for dac in axis(&space.dac_bits) {
-                // `point_at` sets the DAC with `with_dac_resolution`, which
-                // raises 0 to 1.
-                let dac = dac.map_or(base.dac_bits(), |bits| bits.max(1));
-                check("dac_bits", dac, base.cell_bits())?;
-                for cell in axis(&space.cell_bits) {
-                    check("cell_bits", dac, cell.unwrap_or(base.cell_bits()))?;
-                }
-            }
+        // `ArrayMacro::representation` relies on valid slice widths. The
+        // variants were validated when resolved and the schema bounds
+        // `dac_bits`, so only a `cell_bits` value can break it: check each
+        // with the bound `Representation::new` enforces (the DAC width is
+        // a placeholder).
+        for &cell in &space.cell_bits {
+            Representation::new(Encoding::TwosComplement, Encoding::Offset, 1, cell).map_err(
+                |e| cimloop_spec::SpecError::Parse {
+                    line: section
+                        .get("cell_bits")
+                        .map_or(section.line(), |entry| entry.line),
+                    message: format!("!Space axis `cell_bits`: {e}"),
+                },
+            )?;
         }
         Ok(space)
     }

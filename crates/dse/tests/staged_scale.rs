@@ -1,8 +1,8 @@
 //! The ISSUE 8 acceptance property at grid scale: a ≥10^5-candidate
 //! design space sweeps to completion through the staged explorer, and on
 //! a deterministic subsample the staged front is bit-identical to the
-//! naive unstaged path. (The full-grid timing demonstration lives in the
-//! release-mode `dse_scale` bench binary; this test keeps the *property*
+//! naive unstaged path. (The full-grid sweep is timed by the `dse_scale`
+//! group of the `dse` criterion bench; this test keeps the *property*
 //! under `cargo test` by thinning the same grid deterministically.)
 
 use cimloop_dse::{AccuracyObjective, DesignSpace, Explorer, SweepPlan};

@@ -103,6 +103,13 @@ pub enum FieldKind {
     U64,
     /// A non-negative integer scalar within `u32` range.
     U32,
+    /// An integer scalar within `min..=max`.
+    U32Range {
+        /// The smallest accepted value.
+        min: u32,
+        /// The largest accepted value.
+        max: u32,
+    },
     /// A positive integer scalar: a count, where 0 is an error.
     Count,
     /// A finite, non-negative number: a noise sigma.
@@ -117,6 +124,13 @@ pub enum FieldKind {
     U64List,
     /// A `[list]` of non-negative integers within `u32` range.
     U32List,
+    /// A `[list]` of integers within `min..=max`.
+    U32RangeList {
+        /// The smallest accepted value.
+        min: u32,
+        /// The largest accepted value.
+        max: u32,
+    },
     /// A `[list]` of positive integers.
     CountList,
     /// A `[list]` of finite, non-negative numbers.
@@ -127,8 +141,12 @@ pub enum FieldKind {
 
 impl FieldKind {
     /// Human description used in type-error messages.
-    pub fn describe(self) -> &'static str {
-        match self {
+    pub fn describe(self) -> String {
+        let fixed = match self {
+            FieldKind::U32Range { min, max } => return format!("an integer in {min}..={max}"),
+            FieldKind::U32RangeList { min, max } => {
+                return format!("a `[list]` of integers in {min}..={max}")
+            }
             FieldKind::F64 => "a number",
             FieldKind::U64 | FieldKind::U32 => "a non-negative integer",
             FieldKind::Count => "a positive integer",
@@ -140,7 +158,8 @@ impl FieldKind {
             FieldKind::CountList => "a `[list]` of positive integers",
             FieldKind::SigmaList => "a `[list]` of finite numbers >= 0",
             FieldKind::StrList => "a `[list]`",
-        }
+        };
+        fixed.to_owned()
     }
 
     /// Type-checks the entry under `key` (absent entries pass).
@@ -148,8 +167,9 @@ impl FieldKind {
     /// # Errors
     ///
     /// Returns [`SpecError::Parse`] at the entry's source line when the
-    /// value does not match this kind (a count of 0 and a negative or
-    /// non-finite sigma included).
+    /// value does not match this kind (a count of 0, a negative or
+    /// non-finite sigma, and an integer outside a declared range
+    /// included).
     pub fn check(self, section: &Section, key: &str) -> Result<(), SpecError> {
         let Some(entry) = section.get(key) else {
             return Ok(());
@@ -158,6 +178,7 @@ impl FieldKind {
             FieldKind::F64
             | FieldKind::U64
             | FieldKind::U32
+            | FieldKind::U32Range { .. }
             | FieldKind::Count
             | FieldKind::Sigma
             | FieldKind::Bool
@@ -165,6 +186,7 @@ impl FieldKind {
             FieldKind::F64List
             | FieldKind::U64List
             | FieldKind::U32List
+            | FieldKind::U32RangeList { .. }
             | FieldKind::CountList
             | FieldKind::SigmaList
             | FieldKind::StrList => matches!(entry.value, SpecValue::List(_)),
@@ -188,10 +210,21 @@ impl FieldKind {
             None => Ok(()),
         };
         let not_sigma = |v: &f64| !(v.is_finite() && *v >= 0.0);
+        // Read as `u64` so a value past `u32` is reported at its own line.
+        let range = |min: u32, max: u32, values: Vec<u64>| {
+            let bounds = u64::from(min)..=u64::from(max);
+            match values.into_iter().find(|v| !bounds.contains(v)) {
+                Some(v) => Err(mismatch(&format!(", got {v}"))),
+                None => Ok(()),
+            }
+        };
         match self {
             FieldKind::F64 => section.f64(key).map(drop),
             FieldKind::U64 => section.u64(key).map(drop),
             FieldKind::U32 => section.u32(key).map(drop),
+            FieldKind::U32Range { min, max } => {
+                range(min, max, section.u64(key)?.into_iter().collect())
+            }
             FieldKind::Count => nonzero(section.u64(key)? == Some(0)),
             FieldKind::Sigma => sigma(section.f64(key)?.filter(not_sigma)),
             FieldKind::Bool => section.bool(key).map(drop),
@@ -199,6 +232,9 @@ impl FieldKind {
             FieldKind::F64List => section.f64_list(key).map(drop),
             FieldKind::U64List => section.u64_list(key).map(drop),
             FieldKind::U32List => section.u32_list(key).map(drop),
+            FieldKind::U32RangeList { min, max } => {
+                range(min, max, section.u64_list(key)?.unwrap_or_default())
+            }
             FieldKind::CountList => nonzero(section.u64_list(key)?.is_some_and(|v| v.contains(&0))),
             FieldKind::SigmaList => sigma(
                 section
@@ -458,6 +494,7 @@ fn walk(path: &str, left: &Value, right: &Value, out: &mut Vec<DiffEntry>) {
 /// | `[opt u64]`  | `Option<u64>` | non-negative int, optional       |
 /// | `[u32]`      | `u32`         | `u32`-ranged int, with default   |
 /// | `[opt u32]`  | `Option<u32>` | `u32`-ranged int, optional       |
+/// | `[opt u32 in R]` | `Option<u32>` | int in the `RangeInclusive<u32>` const `R`, optional |
 /// | `[count]`    | `u64`         | positive int, with default       |
 /// | `[opt count]`| `Option<u64>` | positive int, optional           |
 /// | `[sigma]`    | `f64`         | finite number >= 0, with default |
@@ -469,6 +506,7 @@ fn walk(path: &str, left: &Value, right: &Value, out: &mut Vec<DiffEntry>) {
 /// | `[list f64]` | `Vec<f64>`    | number list, empty when absent   |
 /// | `[list u64]` | `Vec<u64>`    | int list, empty when absent      |
 /// | `[list u32]` | `Vec<u32>`    | int list, empty when absent      |
+/// | `[list u32 in R]` | `Vec<u32>` | list of ints in the const `R`, empty when absent |
 /// | `[list count]` | `Vec<u64>`  | positive-int list, empty when absent |
 /// | `[list sigma]` | `Vec<f64>`  | list of finite numbers >= 0      |
 /// | `[list str]` | `Vec<String>` | raw-token list, empty when absent|
@@ -563,6 +601,7 @@ macro_rules! reflect_field_ty {
     (opt u64) => { Option<u64> };
     (u32) => { u32 };
     (opt u32) => { Option<u32> };
+    (opt u32 in $range:path) => { Option<u32> };
     (count) => { u64 };
     (opt count) => { Option<u64> };
     (sigma) => { f64 };
@@ -574,6 +613,7 @@ macro_rules! reflect_field_ty {
     (list f64) => { Vec<f64> };
     (list u64) => { Vec<u64> };
     (list u32) => { Vec<u32> };
+    (list u32 in $range:path) => { Vec<u32> };
     (list count) => { Vec<u64> };
     (list sigma) => { Vec<f64> };
     (list str) => { Vec<String> };
@@ -600,6 +640,12 @@ macro_rules! reflect_field_kind {
     };
     (opt u32) => {
         $crate::FieldKind::U32
+    };
+    (opt u32 in $range:path) => {
+        $crate::FieldKind::U32Range {
+            min: *$range.start(),
+            max: *$range.end(),
+        }
     };
     (count) => {
         $crate::FieldKind::Count
@@ -633,6 +679,12 @@ macro_rules! reflect_field_kind {
     };
     (list u32) => {
         $crate::FieldKind::U32List
+    };
+    (list u32 in $range:path) => {
+        $crate::FieldKind::U32RangeList {
+            min: *$range.start(),
+            max: *$range.end(),
+        }
     };
     (list count) => {
         $crate::FieldKind::CountList
@@ -692,6 +744,9 @@ macro_rules! reflect_field_decode {
     ($section:expr, $key:expr, [opt u32]) => {
         $section.u32($key)?
     };
+    ($section:expr, $key:expr, [opt u32 in $range:path]) => {
+        $section.u32($key)?
+    };
     ($section:expr, $key:expr, [count] ($default:expr)) => {
         $section.u64_or($key, $default)?
     };
@@ -723,6 +778,9 @@ macro_rules! reflect_field_decode {
         $section.u64_list($key)?.unwrap_or_default()
     };
     ($section:expr, $key:expr, [list u32]) => {
+        $section.u32_list($key)?.unwrap_or_default()
+    };
+    ($section:expr, $key:expr, [list u32 in $range:path]) => {
         $section.u32_list($key)?.unwrap_or_default()
     };
     ($section:expr, $key:expr, [list count]) => {

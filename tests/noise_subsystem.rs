@@ -91,7 +91,8 @@ fn explorer_noise_axis_trades_accuracy_for_nothing_in_energy() {
         .is_ideal());
     // Under the legacy coverage proxy the three are indistinguishable:
     // the front collapses them to the smallest id instead.
-    let legacy = Explorer::with_adc_coverage_accuracy()
+    let legacy = Explorer::new()
+        .with_accuracy(AccuracyObjective::AdcCoverage)
         .with_threads(1)
         .explore(&space, &net)
         .unwrap();
