@@ -1,10 +1,12 @@
 //! Criterion benches behind Table II and the amortization ablation
 //! (paper Table II): per-mapping evaluation cost with and without amortizing
 //! the data-value-dependent per-action energies, the value-exact
-//! simulator's per-activation cost, and the Monte-Carlo validation grid
-//! behind `results/fig_mc_accuracy.tsv`.
+//! simulator's per-activation and per-cell-event cost, and the
+//! Monte-Carlo validation grid behind `results/fig_mc_accuracy.tsv`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{
+    criterion_group, criterion_main, entry_mean_ns, record_metric, BenchmarkId, Criterion,
+};
 use std::hint::black_box;
 
 use cimloop_bench::mc_accuracy_rows;
@@ -58,6 +60,12 @@ fn value_exact(c: &mut Criterion) {
     let net = models::resnet18();
     let layer = &net.layers()[6];
 
+    let cfg = |activations| ExactConfig {
+        seed: 1,
+        max_activations: activations,
+        threads: 1,
+    };
+
     let mut group = c.benchmark_group("value_exact");
     group.sample_size(10);
     for activations in [64u64, 256] {
@@ -65,11 +73,7 @@ fn value_exact(c: &mut Criterion) {
             BenchmarkId::new("simulate_activations", activations),
             &activations,
             |b, &acts| {
-                let cfg = ExactConfig {
-                    seed: 1,
-                    max_activations: acts,
-                    threads: 1,
-                };
+                let cfg = cfg(acts);
                 b.iter(|| {
                     let report = simulate_layer(&m, layer, &cfg).expect("sim");
                     black_box(report.energy_total())
@@ -78,6 +82,17 @@ fn value_exact(c: &mut Criterion) {
         );
     }
     group.finish();
+
+    // The simulator's cost per cell event. The entry also pays the
+    // layer's statistical evaluation, which the exact run starts from.
+    if let Some(mean_ns) = entry_mean_ns("value_exact/simulate_activations/256") {
+        let events = simulate_layer(&m, layer, &cfg(256))
+            .expect("sim")
+            .cell_events();
+        let ns = mean_ns / events as f64;
+        println!("value_exact_ns_per_cell_event: {ns:.2} ns ({events} events)");
+        record_metric("value_exact_ns_per_cell_event", ns);
+    }
 }
 
 fn mapping_enumeration(c: &mut Criterion) {

@@ -733,6 +733,8 @@ fn out_of_range_widths_and_counts_are_line_numbered_errors() {
     let space_sigma = grid.replacen("variations: [0.0, 0.05, 0.1]", "variations: [-0.1, 0.1]", 1);
     cases.push((space_sigma, "variations: [-0.1, 0.1]", "variations"));
     for (settings, key) in [
+        // Past `u32`: cited at the key's line, not the section's.
+        ("cell_bits: 4294967297", "cell_bits"),
         ("dac_bits: 0", "dac_bits"),
         ("dac_bits: 13", "dac_bits"),
         ("adc_bits: 0", "adc_bits"),

@@ -103,33 +103,123 @@ impl ExactReport {
     }
 }
 
-/// A sampler drawing operand words and their encoded levels.
+/// Draws operand values from a layer's PMF and hands out the slice levels
+/// one array step sees.
+///
+/// Sampling is inverse-transform over the PMF's running sum (`cdf`), as a
+/// guide-table lookup ("indexed search", Chen & Asau 1974) instead of a
+/// binary search. A draw consumes one `u64` word, the same word
+/// `gen::<f64>()` consumes, and [`Self::index`] returns exactly
+/// `cdf.partition_point(|&c| c < u).min(len - 1)` for
+/// `u = (word >> 11) · 2⁻⁵³`, so the RNG stream and every sampled value
+/// are unchanged by the lookup.
+///
+/// The encoded operand's slices are precomputed: for each device stream
+/// and slice position, one table maps a support index to the masked
+/// slice level. A step picks its table once and then costs one load per
+/// sampled cell.
 struct OperandSampler {
-    cdf: Vec<f64>,
-    /// Encoded levels per support value, one `Vec<u64>` per device stream.
-    levels: Vec<Vec<u64>>,
+    /// `threshold[i] = ⌊cdf[i]·2⁵³⌋ + 1`, so `cdf[i] < u` exactly when
+    /// `word >> 11 >= threshold[i]`. The last entry is `u64::MAX`, which
+    /// stops every scan inside the support.
+    threshold: Vec<u64>,
+    /// `guide[b]`: the index of the smallest draw whose top bits are `b`.
+    guide: Vec<u32>,
+    /// `64 − log2(guide.len())`: a word's bucket is `word >> guide_shift`.
+    guide_shift: u32,
+    /// Masked slice levels, one `threshold.len()`-long table per
+    /// `(device, slice)`, device-major.
+    slices: Vec<u16>,
+    /// Slice positions per device stream.
+    slice_count: u32,
 }
 
 impl OperandSampler {
-    fn new(pmf: &Pmf, encoding: Encoding, bits: u32, signed: bool) -> Self {
-        let mut cdf = Vec::with_capacity(pmf.len());
-        let mut levels = Vec::with_capacity(pmf.len());
+    /// Guide-table buckets per support point, before the cap: the
+    /// expected scan past a bucket's guide is under `1 / GUIDE_RATIO`.
+    const GUIDE_RATIO: usize = 8;
+    /// At most this many buckets (`u32` entries), so 16-bit operands stay
+    /// small.
+    const MAX_GUIDE: usize = 1 << 16;
+
+    /// A sampler over `pmf`, encoded with `encoding` and cut into
+    /// `slice_count` slices of `slice_bits` bits per device stream.
+    fn new(
+        pmf: &Pmf,
+        encoding: Encoding,
+        bits: u32,
+        signed: bool,
+        slice_bits: u32,
+        slice_count: u32,
+    ) -> Self {
+        let len = pmf.len();
+        let mut threshold = Vec::with_capacity(len);
+        let mut levels = Vec::with_capacity(len);
         let mut cum = 0.0;
         for (v, p) in pmf.iter() {
             cum += p;
-            cdf.push(cum);
+            // Exact: scaling by 2⁵³ only moves the exponent, and `cum`
+            // is a non-negative running sum of non-negative masses.
+            threshold.push((cum * (1u64 << 53) as f64).floor() as u64 + 1);
             levels.push(encoding.encode_value(v as i64, bits, signed));
         }
-        OperandSampler { cdf, levels }
+        threshold[len - 1] = u64::MAX;
+
+        let buckets = (len * Self::GUIDE_RATIO)
+            .next_power_of_two()
+            .min(Self::MAX_GUIDE);
+        let bucket_bits = buckets.trailing_zeros();
+        let mut guide = Vec::with_capacity(buckets);
+        let mut idx = 0;
+        for b in 0..buckets as u64 {
+            let first_draw = b << (53 - bucket_bits);
+            while first_draw >= threshold[idx] {
+                idx += 1;
+            }
+            guide.push(idx as u32);
+        }
+
+        let devices = encoding.devices_per_operand() as usize;
+        let mut slices = Vec::with_capacity(devices * slice_count as usize * len);
+        for device in 0..devices {
+            for slice in 0..slice_count {
+                slices.extend(
+                    levels
+                        .iter()
+                        .map(|l| Encoding::slice_value(l[device], slice_bits, slice) as u16),
+                );
+            }
+        }
+        OperandSampler {
+            threshold,
+            guide,
+            guide_shift: 64 - bucket_bits,
+            slices,
+            slice_count,
+        }
     }
 
-    fn sample(&self, rng: &mut StdRng) -> &[u64] {
-        let u: f64 = rng.gen();
-        let idx = self
-            .cdf
-            .partition_point(|&c| c < u)
-            .min(self.levels.len() - 1);
-        &self.levels[idx]
+    /// The support index a 64-bit RNG word selects.
+    fn index(&self, word: u64) -> usize {
+        let draw = word >> 11;
+        let mut idx = self.guide[(word >> self.guide_shift) as usize] as usize;
+        while draw >= self.threshold[idx] {
+            idx += 1;
+        }
+        idx
+    }
+
+    /// Draws one support index, consuming one RNG word.
+    fn sample(&self, rng: &mut StdRng) -> usize {
+        self.index(rng.gen::<u64>())
+    }
+
+    /// The slice-level table of `(device, slice)`, indexed by support
+    /// index.
+    fn slices(&self, device: u32, slice: u32) -> &[u16] {
+        let len = self.threshold.len();
+        let start = (device * self.slice_count + slice) as usize * len;
+        &self.slices[start..start + len]
     }
 }
 
@@ -138,8 +228,9 @@ impl OperandSampler {
 struct EnergyTables {
     dac: Vec<f64>,
     control: f64,
-    /// `cell[x][w]`.
-    cell: Vec<Vec<f64>>,
+    /// `cell[x * cell_levels + w]`.
+    cell: Vec<f64>,
+    cell_levels: usize,
     adc: Vec<f64>,
     adder: Vec<f64>,
     analog_accumulator: Vec<f64>,
@@ -165,18 +256,16 @@ impl EnergyTables {
 
         let control = evaluator.component_read_energy("control", &ValueContext::none());
 
-        let mut cell = Vec::with_capacity(dac_levels);
+        let mut cell = Vec::with_capacity(dac_levels * cell_levels);
         for x in 0..dac_levels {
             let x_pmf = delta(x);
-            let mut row = Vec::with_capacity(cell_levels);
             for w in 0..cell_levels {
                 let w_pmf = delta(w);
-                row.push(evaluator.component_read_energy(
+                cell.push(evaluator.component_read_energy(
                     "cell",
                     &ValueContext::cell(&x_pmf, m.dac_bits(), &w_pmf, m.cell_bits()),
                 ));
             }
-            cell.push(row);
         }
 
         let table_over = |name: &str, bits: u32| -> Vec<f64> {
@@ -216,6 +305,7 @@ impl EnergyTables {
             dac,
             control,
             cell,
+            cell_levels,
             adc,
             adder,
             analog_accumulator,
@@ -272,12 +362,17 @@ pub fn simulate_layer(
         rep.input_encoding(),
         layer.input_bits(),
         layer.input_signed(),
+        geometry.dac_bits,
+        geometry.input_slice_count,
     );
+    // Spatial weight slices (Macro B) enumerate `ws_columns` positions.
     let weight_sampler = OperandSampler::new(
         &layer.weight_pmf()?,
         rep.weight_encoding(),
         layer.weight_bits(),
         layer.weight_signed(),
+        geometry.cell_bits,
+        geometry.weight_slice_count.max(geometry.ws_columns as u32),
     );
 
     // Steps split into at most `threads` equal shares. A single share
@@ -468,31 +563,25 @@ fn simulate_steps(
     let adc_max = ((1u64 << tables.adc_bits) - 1) as f64;
     let sum_max = g.sum_max();
 
-    // Sample slice indices uniformly: each step of the bit-serial schedule
-    // uses one (device, slice) pair; random sampling over steps is an
-    // unbiased estimator of the schedule average.
-    let dac_mask = (tables.dac.len() - 1) as u64;
-    let cell_mask = (tables.cell[0].len() - 1) as u64;
-
     let mut acc_codes: Vec<f64> = vec![0.0; g.outputs as usize];
     let mut acc_phase: u64 = 0;
 
-    let mut x_slices: Vec<u64> = vec![0; g.reduction as usize];
+    let mut x_slices: Vec<usize> = vec![0; g.reduction as usize];
 
     for _ in 0..steps {
-        // Pick the bit-serial position for this step.
-        let in_device = (rng.gen::<u32>() % g.input_devices) as usize;
+        // Sample slice indices uniformly: each step of the bit-serial
+        // schedule uses one (device, slice) pair; random sampling over
+        // steps is an unbiased estimator of the schedule average.
+        let in_device = rng.gen::<u32>() % g.input_devices;
         let in_slice_idx = rng.gen::<u32>() % g.input_slice_count;
-        let w_device = (rng.gen::<u32>() % g.weight_devices) as usize;
-        let w_slice_count = g.weight_slice_count;
+        let w_device = rng.gen::<u32>() % g.weight_devices;
 
         // Inputs: one word per reduction row; DAC converts its slice.
+        let x_levels = input_sampler.slices(in_device, in_slice_idx);
         for slot in x_slices.iter_mut() {
-            let levels = input_sampler.sample(rng);
-            let level = levels[in_device.min(levels.len() - 1)];
-            let x = Encoding::slice_value(level, g.dac_bits, in_slice_idx) & dac_mask;
+            let x = usize::from(x_levels[input_sampler.sample(rng)]);
             *slot = x;
-            out.dac += tables.dac[x as usize];
+            out.dac += tables.dac[x];
             out.control += tables.control;
         }
 
@@ -505,19 +594,18 @@ fn simulate_steps(
                 let t_slice = if g.ws_columns > 1 {
                     ws as u32
                 } else {
-                    rng.gen::<u32>() % w_slice_count
+                    rng.gen::<u32>() % g.weight_slice_count
                 };
+                let w_levels = weight_sampler.slices(w_device, t_slice);
                 let mut col_sum = 0u64;
                 for &x in &x_slices {
-                    let levels = weight_sampler.sample(rng);
-                    let level = levels[w_device.min(levels.len() - 1)];
-                    let w = Encoding::slice_value(level, g.cell_bits, t_slice) & cell_mask;
-                    out.cell += tables.cell[x as usize][w as usize];
-                    col_sum += x * w;
-                    out.events += 1;
+                    let w = usize::from(w_levels[weight_sampler.sample(rng)]);
+                    out.cell += tables.cell[x * tables.cell_levels + w];
+                    col_sum += (x * w) as u64;
                 }
                 combined_sum += col_sum;
             }
+            out.events += g.reduction * g.ws_columns;
             let code = ((combined_sum as f64 / sum_max) * adc_max)
                 .round()
                 .clamp(0.0, adc_max) as usize;
@@ -563,4 +651,88 @@ fn simulate_steps(
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The binary search the guide table replaces.
+    fn reference(cdf: &[f64], u: f64) -> usize {
+        cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
+    }
+
+    fn running_sum(pmf: &Pmf) -> Vec<f64> {
+        pmf.iter()
+            .scan(0.0, |cum, (_, p)| {
+                *cum += p;
+                Some(*cum)
+            })
+            .collect()
+    }
+
+    /// `gen::<f64>()` of the word `word`.
+    fn unit(word: u64) -> f64 {
+        (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Checks [`OperandSampler::index`] against [`reference`] for draws
+    /// at, just below and just above every CDF value, and for `draws`
+    /// words of a seeded stream.
+    fn check_sampler(pmf: &Pmf, seed: u64, draws: usize) {
+        let cdf = running_sum(pmf);
+        let sampler = OperandSampler::new(pmf, Encoding::TwosComplement, 16, false, 16, 1);
+        let top = (1u64 << 53) - 1;
+        for &c in cdf.iter().chain(&[0.0, 1.0]) {
+            let at = ((c * (1u64 << 53) as f64).floor() as u64).min(top);
+            for draw in [at.saturating_sub(1), at, at + 1, at + 2] {
+                let word = (draw.min(top) << 11) | (seed & 0x7FF);
+                assert_eq!(
+                    sampler.index(word),
+                    reference(&cdf, unit(word)),
+                    "cdf value {c:e}, draw {draw}"
+                );
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..draws {
+            let u: f64 = rng.clone().gen();
+            assert_eq!(sampler.sample(&mut rng), reference(&cdf, u), "u = {u:e}");
+        }
+    }
+
+    #[test]
+    fn sampler_matches_the_binary_search_when_the_cdf_rounds_off_one() {
+        // Equal weights over 9 points sum to 1 + 2⁻⁵², over 7 points to
+        // 1 − 2⁻⁵²: draws past the total must land on the last point.
+        for (n, total) in [(9u32, 1.0 + f64::EPSILON), (7, 1.0 - f64::EPSILON)] {
+            let pmf = Pmf::from_weights((0..n).map(|v| (f64::from(v), 1.0))).unwrap();
+            assert_eq!(running_sum(&pmf)[n as usize - 1], total);
+            check_sampler(&pmf, u64::from(n), 4096);
+        }
+        check_sampler(&Pmf::delta(3.0).unwrap(), 1, 64);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn sampler_matches_the_binary_search(
+            weights in prop::collection::vec((0u32..4, 0.0f64..1.0, 0i32..40), 1..301),
+            seed in any::<u64>(),
+        ) {
+            // A quarter of the points carry zero mass; the rest span 40
+            // decades, so some CDF steps are far below 2⁻⁵³.
+            let pairs = weights.iter().enumerate().map(|(v, &(kind, w, decades))| {
+                let mass = if kind == 0 { 0.0 } else { w * 10f64.powi(-decades) };
+                (v as f64, mass)
+            });
+            let Ok(pmf) = Pmf::from_weights(pairs) else {
+                // All-zero mass: not a distribution.
+                return;
+            };
+            check_sampler(&pmf, seed, 256);
+        }
+    }
 }

@@ -171,11 +171,19 @@ impl CdfSampler {
 
 /// A standard normal draw via Box-Muller. `1 − u1` lies in `(0, 1]`, so
 /// the log never sees zero and the draw is always finite — required for
-/// the zero-sigma identity (`0·∞` would poison it with NaN).
+/// the zero-sigma identity (`0·∞` would poison it with NaN). Its
+/// magnitude is at most `√(2·53·ln 2) ≈ 8.58`.
 fn normal(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen();
     let u2: f64 = rng.gen();
     (-2.0 * (1.0 - u1).ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// Advances `rng` past one [`normal`] draw without computing it: the
+/// same two words, no `ln`, `sqrt` or `cos`.
+fn skip_normal(rng: &mut StdRng) {
+    rng.gen::<u64>();
+    rng.gen::<u64>();
 }
 
 /// Derives the seed of one `(chunk, stream)` RNG from the run seed with a
@@ -198,6 +206,9 @@ struct Column {
     adc: Option<AdcTransfer>,
     /// Relative per-cell programming-variation sigma.
     sigma_cell: f64,
+    /// Whether `1 + sigma_cell·g` is finite for every [`normal`] draw
+    /// `g`, so a zero product stays a signed zero under injection.
+    zero_products_stay_zero: bool,
     /// Absolute read-noise sigma, raw column-sum units.
     sigma_read: f64,
     /// Absolute ADC-offset sigma, raw column-sum units.
@@ -250,6 +261,13 @@ impl Partial {
     }
 }
 
+/// Samples `trials` column readouts of one chunk.
+///
+/// A zero product skips the Box–Muller arithmetic but still draws its
+/// two noise words, bit-identically: `p·(1 + σ·g)` is a signed zero when
+/// `1 + σ·g` is finite (checked once per [`Column`]), and adding a signed
+/// zero leaves `noisy` unchanged because `noisy` starts at `+0` and a sum
+/// of IEEE doubles is `−0` only when both addends are.
 fn run_chunk(col: &Column, trials: u64, seed: u64, chunk: u64, inject: bool) -> Partial {
     let mut operands = StdRng::seed_from_u64(chunk_seed(seed, chunk, OPERAND_STREAM));
     let mut noise = StdRng::seed_from_u64(chunk_seed(seed, chunk, NOISE_STREAM));
@@ -262,11 +280,13 @@ fn run_chunk(col: &Column, trials: u64, seed: u64, chunk: u64, inject: bool) -> 
             let w = col.weight.sample(&mut operands);
             let p = x * w;
             ideal += p;
-            noisy += if inject {
-                p * (1.0 + col.sigma_cell * normal(&mut noise))
+            if !inject {
+                noisy += p;
+            } else if p == 0.0 && col.zero_products_stay_zero {
+                skip_normal(&mut noise);
             } else {
-                p
-            };
+                noisy += p * (1.0 + col.sigma_cell * normal(&mut noise));
+            }
         }
         if inject {
             noisy += col.sigma_read * normal(&mut noise);
@@ -324,6 +344,8 @@ fn column(
         rows: rows.max(1),
         adc,
         sigma_cell: spec.cell_variation(),
+        // |g| < 9 (see `normal`).
+        zero_products_stay_zero: (spec.cell_variation() * 9.0).is_finite(),
         sigma_read: spec.read_noise() * full_scale.max(0.0),
         sigma_offset: spec.adc_offset() * adc.map(|a| a.step()).unwrap_or(0.0),
     }

@@ -231,11 +231,12 @@ impl Section {
     ///
     /// Returns [`SpecError::Parse`] if present but out of `u32` range.
     pub fn u32(&self, key: &str) -> Result<Option<u32>, SpecError> {
+        let line = self.get(key).map(|e| e.line).unwrap_or(self.line);
         match self.u64(key)? {
             None => Ok(None),
             Some(v) => u32::try_from(v)
                 .map(Some)
-                .map_err(|_| self.parse_err(self.line, format!("`{key}` is out of range: {v}"))),
+                .map_err(|_| self.parse_err(line, format!("`{key}` is out of range: {v}"))),
         }
     }
 
