@@ -4,19 +4,23 @@
 //! configuration in *scenario files* (the experiment-document extension
 //! of the yamlite dialect, [`cimloop_spec::scenario`]) instead of editing
 //! simulator code — the paper's flexibility claim, opened up as a front
-//! door. Subcommands:
+//! door. Every run — the binary's, the daemon's, a library caller's —
+//! goes through one function, [`run`]: it checks the document against
+//! its schemas, then runs its `experiment:` kind. Subcommands:
 //!
 //! - `cimloop evaluate <spec>…` — run each scenario's experiment (any
-//!   kind) and write `results/<name>.tsv`.
-//! - `cimloop sweep <spec>…` — run sweep-family scenarios
-//!   (`experiment: sweep` / `output_reuse`) through the
-//!   [`cimloop_system::NetworkEngine`].
-//! - `cimloop dse <spec>…` — run design-space scenarios
-//!   (`experiment: dse` / `compare`) through the
-//!   [`cimloop_dse::Explorer`].
+//!   kind) and write `results/<name>.tsv`. `--checkpoint`, `--resume`,
+//!   `--shard` and `--max-evals` ([`DseOptions`]) control an
+//!   `experiment: dse` run.
+//! - `cimloop merge-fronts <spec> <checkpoint>…` — recombine the shard
+//!   checkpoints of one dse scenario into its TSV ([`merge_fronts`]).
 //! - `cimloop validate <spec>…` — parse and resolve without running,
 //!   reporting the resolved configuration and configuration smells (the
 //!   [`cimloop_core::Evaluator::DEFAULT_CYCLE_TIME`] fallback).
+//! - `cimloop convert` and `cimloop diff` — re-encode a spec, or compare
+//!   two specs or two TSVs field by field.
+//! - `cimloop serve` and `cimloop request` — the resident daemon
+//!   ([`serve`]) and its client.
 //!
 //! The committed `examples/specs/*.yaml` scenarios reproduce the
 //! committed `results/*.tsv` goldens **bit-identically**, and CI diffs
@@ -34,11 +38,11 @@ use cimloop_sim::{mc_layer, mc_workload, McConfig};
 use cimloop_spec::{ScenarioDoc, SpecError};
 
 pub mod resolve;
-pub mod runners;
+mod runners;
 pub mod schema;
 pub mod serve;
 
-pub use runners::{dse_with, merge_fronts, DseOptions};
+pub use runners::{merge_fronts, DseOptions};
 
 /// Shared state a scenario run amortizes against: the energy-table cache.
 ///
@@ -128,35 +132,63 @@ impl From<std::io::Error> for CliError {
     }
 }
 
-/// The experiment kinds each subcommand may run (`evaluate` runs all).
-pub const SWEEP_KINDS: [&str; 2] = ["sweep", "output_reuse"];
-/// See [`SWEEP_KINDS`].
-pub const DSE_KINDS: [&str; 2] = ["dse", "compare"];
-
 /// Runs a scenario document with a fresh, unbounded [`RunContext`] and
-/// returns its result table.
+/// returns its result table: [`run`] with default options.
 ///
 /// # Errors
 ///
-/// Propagates parse, resolution, and engine errors; unknown experiment
-/// kinds are a usage error.
+/// See [`run`].
 pub fn run_scenario(doc: &ScenarioDoc) -> Result<ExperimentTable, CliError> {
     run_scenario_with(doc, &RunContext::new())
 }
 
 /// Runs a scenario document against a shared [`RunContext`] — the
-/// resident-service entry point. Bit-identical to [`run_scenario`] for
-/// any context: the shared cache amortizes timing, never values.
+/// resident-service entry point: [`run`] with default options.
+/// Bit-identical to [`run_scenario`] for any context: the shared cache
+/// amortizes timing, never values.
 ///
 /// # Errors
 ///
-/// See [`run_scenario`].
+/// See [`run`].
 pub fn run_scenario_with(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTable, CliError> {
+    run(doc, ctx, &DseOptions::default())?.ok_or_else(|| {
+        CliError::usage("internal: an unsharded, unbudgeted dse run yielded no table".to_owned())
+    })
+}
+
+/// Runs a scenario document: checks it against its schemas, then runs
+/// its `experiment:` kind. The one path of every run — the binary's,
+/// the daemon's and the library's.
+///
+/// `opts` are the production-scale controls of an `experiment: dse`
+/// run. It returns `None` only when such a run stops early by design (a
+/// shard, or a spent `--max-evals` budget); its progress is then in the
+/// checkpoint.
+///
+/// # Errors
+///
+/// Propagates schema, resolution, engine and checkpoint errors. An
+/// unknown experiment kind, and dse options on any other kind, are
+/// usage errors.
+pub fn run(
+    doc: &ScenarioDoc,
+    ctx: &RunContext,
+    opts: &DseOptions,
+) -> Result<Option<ExperimentTable>, CliError> {
     schema::check_document(doc)?;
-    match doc.experiment() {
+    let kind = doc.experiment();
+    if kind == "dse" {
+        return runners::dse(doc, ctx, opts);
+    }
+    if !opts.is_default() {
+        return Err(CliError::usage(format!(
+            "--checkpoint/--resume/--shard/--max-evals require `experiment: dse`, \
+             got `experiment: {kind}`"
+        )));
+    }
+    match kind {
         "evaluate" => runners::evaluate(doc, ctx),
         "sweep" => runners::sweep(doc, ctx),
-        "dse" => runners::dse(doc, ctx),
         "compare" => runners::compare(doc, ctx),
         "output_reuse" => runners::output_reuse(doc, ctx),
         "speed_record" => runners::speed_record(doc, ctx),
@@ -165,6 +197,7 @@ pub fn run_scenario_with(doc: &ScenarioDoc, ctx: &RunContext) -> Result<Experime
              output_reuse, or speed_record)"
         ))),
     }
+    .map(Some)
 }
 
 /// The documented analytic-vs-Monte-Carlo SNR agreement bound, dB (see
@@ -361,8 +394,8 @@ pub fn validate_doc_with(
             );
         }
     }
-    // Build the design space as `cimloop dse` would, so a bad `!Space`
-    // axis fails validation with the same line-numbered error.
+    // Build the design space as a dse run would, so a bad `!Space` axis
+    // fails validation with the same line-numbered error.
     if doc.section("Space").is_some() && !doc.architectures().is_empty() {
         runners::space_for(doc)?;
     }

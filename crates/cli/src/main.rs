@@ -1,12 +1,9 @@
 //! The `cimloop` binary: spec-driven experiments from scenario files.
 //!
 //! ```text
-//! cimloop evaluate <spec>… [--out DIR] [--format yamlite|json]
+//! cimloop evaluate <spec>… [--out DIR] [--checkpoint FILE] [--resume]
+//!                  [--shard i/n] [--max-evals N]
 //!                                              # run any scenario, write TSV
-//! cimloop sweep    <spec>… [--out DIR]         # sweep-family scenarios only
-//! cimloop dse      <spec>… [--out DIR] [--staged] [--checkpoint FILE]
-//!                  [--resume] [--shard i/n] [--max-evals N]
-//!                                              # design-space scenarios only
 //! cimloop merge-fronts <spec> <checkpoint>… [--out DIR]
 //!                                              # recombine shard checkpoints
 //! cimloop validate <spec>… [--monte-carlo N] [--seed S]
@@ -24,601 +21,417 @@
 //!
 //! Scenario files ending in `.json` are decoded as the reflection-backed
 //! JSON interchange encoding; everything else parses as yamlite (the
-//! pinned frontend). `--format` overrides the extension; `cimloop
-//! request` sends `.json` files as `RUNJSON` frames.
+//! pinned frontend). `cimloop request` sends `.json` files as `RUNJSON`
+//! frames. The exit code is 2 for a usage error, 1 for a failed run (and
+//! for `diff` of files that differ), 0 otherwise.
 
+use std::fmt::Display;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use cimloop_cli::serve::client::{Client, Response};
-use cimloop_cli::serve::{ServeConfig, Server, SpecFormat};
-use cimloop_cli::{
-    dse_with, merge_fronts, run_scenario, validate_doc_with, CliError, DseOptions, RunContext,
-    ValidateOptions, DSE_KINDS, SWEEP_KINDS,
-};
+use cimloop_cli::serve::{ServeConfig, Server};
+use cimloop_cli::{merge_fronts, run, validate_doc_with, DseOptions, RunContext, ValidateOptions};
 use cimloop_spec::ScenarioDoc;
 
-const USAGE: &str =
-    "usage: cimloop <evaluate|sweep|dse|validate> <spec>... [--out DIR] [--format yamlite|json]
+const USAGE: &str = "usage: cimloop evaluate <spec>... [--out DIR] [--checkpoint FILE] [--resume] [--shard i/n] [--max-evals N]
        cimloop validate <spec>... [--monte-carlo N] [--seed S]
-       cimloop dse <spec>... [--staged] [--checkpoint FILE] [--resume] [--shard i/n] [--max-evals N]
        cimloop merge-fronts <spec> <checkpoint>... [--out DIR]
        cimloop convert <spec>... [--to yamlite|json]
        cimloop diff <old.tsv|old-spec> <new.tsv|new-spec>
        cimloop serve <addr> [--once] [--workers N] [--queue-depth N] [--table-cap N] [--stats-cap N]
        cimloop request <addr> <spec>... [--out DIR] [--stats FILE] [--shutdown]";
 
-/// Parses a `--format`/`--to` value.
-fn format_name(value: &str) -> Option<SpecFormat> {
-    match value {
-        "yamlite" | "yaml" => Some(SpecFormat::Yamlite),
-        "json" => Some(SpecFormat::Json),
-        _ => None,
-    }
+/// Why a subcommand stopped before its normal end.
+enum Stop {
+    /// `-h` or `--help`: the usage on stdout, exit 0.
+    Help,
+    /// A malformed command line: the message and the usage, exit 2.
+    Usage(String),
+    /// A failed run: the message, exit 1.
+    Failed(String),
 }
 
-/// The encoding of a spec file: forced by `--format` when given, else
-/// `.json` files are JSON and everything else is yamlite.
-fn detect_format(path: &Path, forced: Option<SpecFormat>) -> SpecFormat {
-    forced.unwrap_or_else(|| {
-        if path
-            .extension()
-            .is_some_and(|e| e.eq_ignore_ascii_case("json"))
-        {
-            SpecFormat::Json
-        } else {
-            SpecFormat::Yamlite
-        }
-    })
+fn usage(message: impl Into<String>) -> Stop {
+    Stop::Usage(message.into())
 }
 
-/// Decodes one spec source in the given encoding.
-fn parse_spec(text: &str, format: SpecFormat) -> Result<ScenarioDoc, CliError> {
-    Ok(match format {
-        SpecFormat::Yamlite => ScenarioDoc::parse(text)?,
-        SpecFormat::Json => ScenarioDoc::from_json(text)?,
-    })
+/// A failed run, prefixed with the file or the step it concerns.
+fn failed(what: impl Display, e: impl Display) -> Stop {
+    Stop::Failed(format!("{what}: {e}"))
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let Some(command) = args.next() else {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((command, rest)) = args.split_first() else {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let rest: Vec<String> = args.collect();
-    match command.as_str() {
-        "serve" => return serve_main(&rest),
-        "request" => return request_main(&rest),
-        "convert" => return convert_main(&rest),
-        "diff" => return diff_main(&rest),
-        "merge-fronts" => return merge_main(&rest),
-        _ => {}
-    }
-    let mut specs: Vec<PathBuf> = Vec::new();
-    let mut out_dir = PathBuf::from("results");
-    let mut forced: Option<SpecFormat> = None;
-    let mut dse_opts = DseOptions::default();
-    let mut validate_opts = ValidateOptions::default();
-    let mut args = rest.into_iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => match args.next() {
-                Some(dir) => out_dir = PathBuf::from(dir),
-                None => {
-                    eprintln!("--out needs a directory argument\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--format" => match args.next().as_deref().and_then(format_name) {
-                Some(format) => forced = Some(format),
-                None => {
-                    eprintln!("--format needs `yamlite` or `json`\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--staged" => dse_opts.staged = Some(true),
-            "--resume" => dse_opts.resume = true,
-            "--checkpoint" => match args.next() {
-                Some(file) => dse_opts.checkpoint = Some(PathBuf::from(file)),
-                None => return usage_error("--checkpoint needs a file argument"),
-            },
-            "--shard" => match args.next().map(|s| s.parse()) {
-                Some(Ok(shard)) => dse_opts.shard = Some(shard),
-                Some(Err(e)) => return usage_error(&e.to_string()),
-                None => return usage_error("--shard needs an `i/n` argument"),
-            },
-            "--max-evals" => match parse_count("--max-evals", args.next()) {
-                Ok(n) => dse_opts.max_evaluations = Some(n),
-                Err(e) => return usage_error(&e),
-            },
-            "--monte-carlo" => match parse_count("--monte-carlo", args.next()) {
-                Ok(n) => validate_opts.monte_carlo = Some(n as u64),
-                Err(e) => return usage_error(&e),
-            },
-            "--seed" => match parse_count("--seed", args.next()) {
-                Ok(n) => validate_opts.seed = Some(n as u64),
-                Err(e) => return usage_error(&e),
-            },
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag `{other}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
-            path => specs.push(PathBuf::from(path)),
-        }
-    }
-    if specs.is_empty() {
-        eprintln!("no scenario files given\n{USAGE}");
-        return ExitCode::from(2);
-    }
-    if (validate_opts.monte_carlo.is_some() || validate_opts.seed.is_some())
-        && command != "validate"
-    {
-        return usage_error("--monte-carlo/--seed only apply to `cimloop validate`");
-    }
-    if validate_opts.seed.is_some() && validate_opts.monte_carlo.is_none() {
-        return usage_error("--seed requires --monte-carlo N");
-    }
-    if !dse_opts.is_default() {
-        if command != "dse" {
-            return usage_error(
-                "--staged/--checkpoint/--resume/--shard/--max-evals only apply to `cimloop dse`",
-            );
-        }
-        // Sharded fronts and budget-stopped progress live in checkpoints;
-        // without one the work would be unrecoverable.
-        if dse_opts.checkpoint.is_none()
-            && (dse_opts.resume || dse_opts.shard.is_some() || dse_opts.max_evaluations.is_some())
-        {
-            return usage_error("--resume, --shard, and --max-evals require --checkpoint FILE");
-        }
-        if dse_opts.checkpoint.is_some() && specs.len() > 1 {
-            return usage_error("--checkpoint runs one scenario at a time");
-        }
-    }
-
-    for spec in &specs {
-        let text = match std::fs::read_to_string(spec) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("{}: {e}", spec.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let format = detect_format(spec, forced);
-        let result: Result<(), CliError> = match command.as_str() {
-            "validate" => parse_spec(&text, format)
-                .and_then(|doc| validate_doc_with(&doc, &validate_opts).map(|_| ())),
-            "evaluate" | "sweep" | "dse" => parse_spec(&text, format)
-                .and_then(|doc| run_kind(&command, &doc, &out_dir, &dse_opts)),
-            other => {
-                eprintln!("unknown subcommand `{other}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        };
-        if let Err(e) = result {
-            eprintln!("{}: {e}", spec.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn run_kind(
-    command: &str,
-    doc: &ScenarioDoc,
-    out_dir: &std::path::Path,
-    dse_opts: &DseOptions,
-) -> Result<(), CliError> {
-    let kind = doc.experiment();
-    let allowed = match command {
-        "sweep" => SWEEP_KINDS.contains(&kind),
-        "dse" => DSE_KINDS.contains(&kind),
-        _ => true, // `evaluate` runs every kind
+    let result = match command.as_str() {
+        "evaluate" => evaluate(rest),
+        "validate" => validate(rest),
+        "merge-fronts" => merge(rest),
+        "convert" => convert(rest),
+        "diff" => diff(rest),
+        "serve" => serve(rest),
+        "request" => request(rest),
+        "-h" | "--help" => Err(Stop::Help),
+        other => Err(usage(format!("unknown subcommand `{other}`"))),
     };
-    if !allowed {
-        return Err(CliError::Usage(format!(
-            "`cimloop {command}` cannot run an `experiment: {kind}` scenario \
-             (use `cimloop evaluate`)"
-        )));
-    }
-    if kind == "dse" {
-        // The dse runner can stop early (shard or budget); then the front
-        // lives in the checkpoint and no TSV is written.
-        match dse_with(doc, &RunContext::new(), dse_opts)? {
-            Some(table) => table.finish_to(out_dir)?,
-            None => println!("  partial run: no TSV written (merge or resume to finish)"),
-        }
-        return Ok(());
-    }
-    if !dse_opts.is_default() {
-        return Err(CliError::Usage(format!(
-            "--staged/--checkpoint/--resume/--shard/--max-evals require `experiment: dse`, \
-             got `experiment: {kind}`"
-        )));
-    }
-    run_scenario(doc)?.finish_to(out_dir)?;
-    Ok(())
-}
-
-/// `cimloop merge-fronts <spec> <checkpoint>… [--out DIR]`: recombine
-/// shard checkpoints of one dse scenario into the single-process Pareto
-/// front and write its TSV. The merge is byte-identical to running the
-/// sweep unsharded.
-fn merge_main(args: &[String]) -> ExitCode {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut out_dir = PathBuf::from("results");
-    let mut forced: Option<SpecFormat> = None;
-    let mut iter = args.iter().cloned();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => match iter.next() {
-                Some(dir) => out_dir = PathBuf::from(dir),
-                None => return usage_error("--out needs a directory argument"),
-            },
-            "--format" => match iter.next().as_deref().and_then(format_name) {
-                Some(format) => forced = Some(format),
-                None => return usage_error("--format needs `yamlite` or `json`"),
-            },
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                return usage_error(&format!("unknown flag `{other}`"));
-            }
-            path => paths.push(PathBuf::from(path)),
-        }
-    }
-    let [spec, checkpoints @ ..] = paths.as_slice() else {
-        return usage_error("merge-fronts needs a <spec> and at least one <checkpoint>");
-    };
-    if checkpoints.is_empty() {
-        return usage_error("merge-fronts needs a <spec> and at least one <checkpoint>");
-    }
-    let text = match std::fs::read_to_string(spec) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("{}: {e}", spec.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = match parse_spec(&text, detect_format(spec, forced)) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("{}: {e}", spec.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    match merge_fronts(&doc, checkpoints).and_then(|table| Ok(table.finish_to(&out_dir)?)) {
+    match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("{}: {e}", spec.display());
+        Err(Stop::Help) => {
+            println!("{USAGE}");
+            ExitCode::SUCCESS
+        }
+        Err(Stop::Usage(message)) => {
+            eprintln!("{message}\n{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(Stop::Failed(message)) => {
+            eprintln!("{message}");
             ExitCode::FAILURE
         }
     }
 }
 
-/// `cimloop convert <spec>… [--to yamlite|json]`: decode each spec by
-/// its extension and re-emit it through the reflected data model to
-/// stdout (yamlite via the canonical writer, JSON via the codec).
-fn convert_main(args: &[String]) -> ExitCode {
-    let mut specs: Vec<PathBuf> = Vec::new();
-    let mut target = SpecFormat::Yamlite;
-    let mut forced: Option<SpecFormat> = None;
-    let mut iter = args.iter().cloned();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--to" => match iter.next().as_deref().and_then(format_name) {
-                Some(format) => target = format,
-                None => return usage_error("--to needs `yamlite` or `json`"),
-            },
-            "--format" => match iter.next().as_deref().and_then(format_name) {
-                Some(format) => forced = Some(format),
-                None => return usage_error("--format needs `yamlite` or `json`"),
-            },
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
+/// One subcommand's command line: its positional arguments and the flags
+/// given, each with its value (`None` for a switch).
+struct Args<'a> {
+    positional: Vec<&'a str>,
+    flags: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    /// Splits `args` by the subcommand's flags: one in `valued` takes the
+    /// next argument as its value, one in `switches` takes none. Any other
+    /// argument starting with `-` is a usage error, and `-h`/`--help`
+    /// stops with the usage.
+    fn parse(args: &'a [String], valued: &[&str], switches: &[&str]) -> Result<Self, Stop> {
+        let mut parsed = Args {
+            positional: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut iter = args.iter().map(String::as_str);
+        while let Some(arg) = iter.next() {
+            if arg == "-h" || arg == "--help" {
+                return Err(Stop::Help);
+            } else if valued.contains(&arg) {
+                let value = iter
+                    .next()
+                    .ok_or_else(|| usage(format!("{arg} needs a value")))?;
+                parsed.flags.push((arg, Some(value)));
+            } else if switches.contains(&arg) {
+                parsed.flags.push((arg, None));
+            } else if arg.starts_with('-') {
+                return Err(usage(format!("unknown flag `{arg}`")));
+            } else {
+                parsed.positional.push(arg);
             }
-            other if other.starts_with('-') => {
-                return usage_error(&format!("unknown flag `{other}`"));
-            }
-            path => specs.push(PathBuf::from(path)),
+        }
+        Ok(parsed)
+    }
+
+    /// The value of the last `flag VALUE` given.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .and_then(|&(_, value)| value)
+    }
+
+    /// Whether the switch `flag` was given.
+    fn switch(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The value of `flag` parsed as a `T`.
+    fn parsed<T: FromStr>(&self, flag: &str) -> Result<Option<T>, Stop>
+    where
+        T::Err: Display,
+    {
+        self.value(flag)
+            .map(|value| {
+                value
+                    .parse()
+                    .map_err(|e| usage(format!("{flag} `{value}`: {e}")))
+            })
+            .transpose()
+    }
+
+    /// `--out DIR`, `results` when not given.
+    fn out_dir(&self) -> &'a Path {
+        Path::new(self.value("--out").unwrap_or("results"))
+    }
+
+    /// The positional arguments as scenario files, at least one.
+    fn specs(&self) -> Result<&[&'a str], Stop> {
+        if self.positional.is_empty() {
+            return Err(usage("no scenario files given"));
+        }
+        Ok(&self.positional)
+    }
+}
+
+fn has_extension(path: &str, extension: &str) -> bool {
+    Path::new(path)
+        .extension()
+        .is_some_and(|e| e.eq_ignore_ascii_case(extension))
+}
+
+fn read(path: &str) -> Result<String, Stop> {
+    std::fs::read_to_string(path).map_err(|e| failed(path, e))
+}
+
+/// Reads one scenario file and decodes it by its extension (`.json` as
+/// JSON, anything else as yamlite); the errors name the file.
+fn load(path: &str) -> Result<ScenarioDoc, Stop> {
+    let text = read(path)?;
+    let doc = if has_extension(path, "json") {
+        ScenarioDoc::from_json(&text)
+    } else {
+        ScenarioDoc::parse(&text)
+    };
+    doc.map_err(|e| failed(path, e))
+}
+
+/// `cimloop evaluate`: runs each scenario and writes its TSV. The dse
+/// flags apply to an `experiment: dse` scenario; on any other kind the
+/// run fails with a usage error.
+fn evaluate(args: &[String]) -> Result<(), Stop> {
+    let args = Args::parse(
+        args,
+        &["--out", "--checkpoint", "--shard", "--max-evals"],
+        &["--resume"],
+    )?;
+    let specs = args.specs()?;
+    let opts = DseOptions {
+        checkpoint: args.value("--checkpoint").map(PathBuf::from),
+        resume: args.switch("--resume"),
+        shard: args.parsed("--shard")?,
+        max_evaluations: args.parsed("--max-evals")?,
+    };
+    // Sharded fronts and budget-stopped progress live in checkpoints;
+    // without one the work would be unrecoverable.
+    if opts.checkpoint.is_none()
+        && (opts.resume || opts.shard.is_some() || opts.max_evaluations.is_some())
+    {
+        return Err(usage(
+            "--resume, --shard, and --max-evals require --checkpoint FILE",
+        ));
+    }
+    if opts.checkpoint.is_some() && specs.len() > 1 {
+        return Err(usage("--checkpoint runs one scenario at a time"));
+    }
+    for &spec in specs {
+        let doc = load(spec)?;
+        // A shard or a budget-stopped run has no TSV yet: its front is in
+        // the checkpoint.
+        match run(&doc, &RunContext::new(), &opts).map_err(|e| failed(spec, e))? {
+            Some(table) => table
+                .finish_to(args.out_dir())
+                .map_err(|e| failed(spec, e))?,
+            None => println!("  partial run: no TSV written (merge or resume to finish)"),
         }
     }
-    if specs.is_empty() {
-        return usage_error("convert needs at least one spec file");
+    Ok(())
+}
+
+/// `cimloop validate`: resolves and reports each scenario without
+/// running it.
+fn validate(args: &[String]) -> Result<(), Stop> {
+    let args = Args::parse(args, &["--monte-carlo", "--seed"], &[])?;
+    let specs = args.specs()?;
+    let opts = ValidateOptions {
+        monte_carlo: args.parsed("--monte-carlo")?,
+        seed: args.parsed("--seed")?,
+    };
+    if opts.seed.is_some() && opts.monte_carlo.is_none() {
+        return Err(usage("--seed requires --monte-carlo N"));
     }
-    for spec in &specs {
-        let text = match std::fs::read_to_string(spec) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("{}: {e}", spec.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let doc = match parse_spec(&text, detect_format(spec, forced)) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("{}: {e}", spec.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match target {
-            SpecFormat::Yamlite => print!("{}", doc.write()),
-            SpecFormat::Json => print!("{}", doc.to_json()),
+    for &spec in specs {
+        validate_doc_with(&load(spec)?, &opts).map_err(|e| failed(spec, e))?;
+    }
+    Ok(())
+}
+
+/// `cimloop merge-fronts`: recombines shard checkpoints of one dse
+/// scenario into the single-process Pareto front and writes its TSV,
+/// byte-identical to running the sweep unsharded.
+fn merge(args: &[String]) -> Result<(), Stop> {
+    let args = Args::parse(args, &["--out"], &[])?;
+    let Some((&spec, checkpoints)) = args
+        .positional
+        .split_first()
+        .filter(|(_, checkpoints)| !checkpoints.is_empty())
+    else {
+        return Err(usage(
+            "merge-fronts needs a <spec> and at least one <checkpoint>",
+        ));
+    };
+    let checkpoints: Vec<PathBuf> = checkpoints.iter().map(PathBuf::from).collect();
+    let table = merge_fronts(&load(spec)?, &checkpoints).map_err(|e| failed(spec, e))?;
+    table.finish_to(args.out_dir()).map_err(|e| failed(spec, e))
+}
+
+/// `cimloop convert`: re-emits each spec through the reflected data
+/// model to stdout (yamlite via the canonical writer, JSON via the
+/// codec).
+fn convert(args: &[String]) -> Result<(), Stop> {
+    let args = Args::parse(args, &["--to"], &[])?;
+    let specs = args.specs()?;
+    let to_json = match args.value("--to").unwrap_or("yamlite") {
+        "yamlite" | "yaml" => false,
+        "json" => true,
+        other => {
+            return Err(usage(format!(
+                "--to needs `yamlite` or `json`, got `{other}`"
+            )))
         }
+    };
+    for &spec in specs {
+        let doc = load(spec)?;
+        print!("{}", if to_json { doc.to_json() } else { doc.write() });
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `cimloop diff <old> <new>`: a field-level structural comparison.
 /// `.tsv` files compare as result tables (row/column paths); anything
 /// else compares as scenario documents through the reflected data
-/// model. Exits 1 when the files differ structurally.
-fn diff_main(args: &[String]) -> ExitCode {
-    let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with('-')).collect();
-    if args.iter().any(|a| a == "-h" || a == "--help") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let [old, new] = paths.as_slice() else {
-        return usage_error("diff needs exactly two files");
+/// model. Files that differ exit 1.
+fn diff(args: &[String]) -> Result<(), Stop> {
+    let args = Args::parse(args, &[], &[])?;
+    let &[old, new] = args.positional.as_slice() else {
+        return Err(usage("diff needs exactly two files"));
     };
-    let read = |p: &str| match std::fs::read_to_string(p) {
-        Ok(text) => Some(text),
-        Err(e) => {
-            eprintln!("{p}: {e}");
-            None
-        }
-    };
-    let (Some(old_text), Some(new_text)) = (read(old), read(new)) else {
-        return ExitCode::FAILURE;
-    };
-    let is_tsv = |p: &str| {
-        Path::new(p)
-            .extension()
-            .is_some_and(|e| e.eq_ignore_ascii_case("tsv"))
-    };
-    let report = if is_tsv(old) && is_tsv(new) {
-        cimloop_bench::diff_tsv(&old_text, &new_text)
+    let report = if has_extension(old, "tsv") && has_extension(new, "tsv") {
+        cimloop_bench::diff_tsv(&read(old)?, &read(new)?)
     } else {
-        let parse = |p: &str, text: &str| match parse_spec(text, detect_format(Path::new(p), None))
-        {
-            Ok(doc) => Some(doc),
-            Err(e) => {
-                eprintln!("{p}: {e}");
-                None
-            }
-        };
-        let (Some(old_doc), Some(new_doc)) = (parse(old, &old_text), parse(new, &new_text)) else {
-            return ExitCode::FAILURE;
-        };
         cimloop_spec::render_diff(&cimloop_spec::diff(
-            &old_doc.to_value(),
-            &new_doc.to_value(),
+            &load(old)?.to_value(),
+            &load(new)?.to_value(),
         ))
     };
-    if report.is_empty() {
-        println!("{old} and {new} are structurally identical");
-        ExitCode::SUCCESS
-    } else {
+    if !report.is_empty() {
         print!("{report}");
-        ExitCode::FAILURE
+        return Err(Stop::Failed(format!("{old} and {new} differ")));
     }
+    println!("{old} and {new} are structurally identical");
+    Ok(())
 }
 
-/// Parses a `--flag N` numeric argument.
-fn parse_count(flag: &str, value: Option<String>) -> Result<usize, String> {
-    let Some(value) = value else {
-        return Err(format!("{flag} needs a numeric argument"));
+/// `cimloop serve`: binds the daemon and serves until `SHUTDOWN`.
+fn serve(args: &[String]) -> Result<(), Stop> {
+    let args = Args::parse(
+        args,
+        &["--workers", "--queue-depth", "--table-cap", "--stats-cap"],
+        &["--once"],
+    )?;
+    let &[addr] = args.positional.as_slice() else {
+        return Err(usage("serve needs one <addr> (e.g. 127.0.0.1:7878)"));
     };
-    value
-        .parse()
-        .map_err(|_| format!("{flag} needs a number, got `{value}`"))
+    let defaults = ServeConfig::default();
+    let config = ServeConfig {
+        workers: args.parsed("--workers")?.unwrap_or(defaults.workers),
+        queue_depth: args
+            .parsed("--queue-depth")?
+            .unwrap_or(defaults.queue_depth),
+        table_capacity: args
+            .parsed("--table-cap")?
+            .unwrap_or(defaults.table_capacity),
+        stats_capacity: args
+            .parsed("--stats-cap")?
+            .unwrap_or(defaults.stats_capacity),
+        once: args.switch("--once"),
+    };
+    let server = Server::bind(addr, config)
+        .map_err(|e| failed(format!("cimloop serve: cannot bind {addr}"), e))?;
+    let local = server
+        .local_addr()
+        .map_err(|e| failed("cimloop serve", e))?;
+    // The "listening" line is the readiness signal harnesses wait for, so
+    // flush it before blocking in accept().
+    println!("cimloop-serve listening on {local}");
+    let _ = std::io::stdout().flush();
+    server.run().map_err(|e| failed("cimloop serve", e))?;
+    println!("cimloop-serve: shut down cleanly");
+    Ok(())
 }
 
-/// `cimloop serve <addr> [--once] [--workers N] [--queue-depth N]
-/// [--table-cap N] [--stats-cap N]`
-fn serve_main(args: &[String]) -> ExitCode {
-    let mut addr: Option<String> = None;
-    let mut config = ServeConfig::default();
-    let mut iter = args.iter().cloned();
-    while let Some(arg) = iter.next() {
-        let numeric = |v: Option<String>| parse_count(&arg, v);
-        match arg.as_str() {
-            "--once" => config.once = true,
-            "--workers" => match numeric(iter.next()) {
-                Ok(n) => config.workers = n.max(1),
-                Err(e) => return usage_error(&e),
-            },
-            "--queue-depth" => match numeric(iter.next()) {
-                Ok(n) => config.queue_depth = n.max(1),
-                Err(e) => return usage_error(&e),
-            },
-            "--table-cap" => match numeric(iter.next()) {
-                Ok(n) => config.table_capacity = n,
-                Err(e) => return usage_error(&e),
-            },
-            "--stats-cap" => match numeric(iter.next()) {
-                Ok(n) => config.stats_capacity = n,
-                Err(e) => return usage_error(&e),
-            },
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                return usage_error(&format!("unknown flag `{other}`"));
-            }
-            a if addr.is_none() => addr = Some(a.to_owned()),
-            extra => return usage_error(&format!("unexpected argument `{extra}`")),
-        }
-    }
-    let Some(addr) = addr else {
-        return usage_error("serve needs an <addr> (e.g. 127.0.0.1:7878)");
+/// `cimloop request`: sends scenarios to a running daemon and writes the
+/// served TSVs; optionally fetches `STATS` and stops the daemon. Any
+/// failed request exits 1 once the rest are done.
+fn request(args: &[String]) -> Result<(), Stop> {
+    let args = Args::parse(args, &["--out", "--stats"], &["--shutdown"])?;
+    let Some((&addr, specs)) = args.positional.split_first() else {
+        return Err(usage("request needs an <addr> first (e.g. 127.0.0.1:7878)"));
     };
-    let server = match Server::bind(addr.as_str(), config) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("cimloop serve: cannot bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match server.local_addr() {
-        Ok(local) => {
-            // The "listening" line is the readiness signal harnesses wait
-            // for, so flush it before blocking in accept().
-            println!("cimloop-serve listening on {local}");
-            let _ = std::io::stdout().flush();
-        }
-        Err(e) => {
-            eprintln!("cimloop serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match server.run() {
-        Ok(()) => {
-            println!("cimloop-serve: shut down cleanly");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("cimloop serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `cimloop request <addr> <spec.yaml>… [--out DIR] [--stats FILE]
-/// [--shutdown]`
-fn request_main(args: &[String]) -> ExitCode {
-    let mut addr: Option<String> = None;
-    let mut specs: Vec<PathBuf> = Vec::new();
-    let mut out_dir = PathBuf::from("results");
-    let mut stats_file: Option<String> = None;
-    let mut shutdown = false;
-    let mut iter = args.iter().cloned();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => match iter.next() {
-                Some(dir) => out_dir = PathBuf::from(dir),
-                None => return usage_error("--out needs a directory argument"),
-            },
-            "--stats" => match iter.next() {
-                Some(file) => stats_file = Some(file),
-                None => return usage_error("--stats needs a file argument (`-` for stdout)"),
-            },
-            "--shutdown" => shutdown = true,
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                return usage_error(&format!("unknown flag `{other}`"));
-            }
-            a if addr.is_none() => addr = Some(a.to_owned()),
-            path => specs.push(PathBuf::from(path)),
-        }
-    }
-    let Some(addr) = addr else {
-        return usage_error("request needs an <addr> first (e.g. 127.0.0.1:7878)");
-    };
+    let stats_file = args.value("--stats");
+    let shutdown = args.switch("--shutdown");
     if specs.is_empty() && stats_file.is_none() && !shutdown {
-        return usage_error("request needs scenario files, --stats, or --shutdown");
+        return Err(usage(
+            "request needs scenario files, --stats, or --shutdown",
+        ));
     }
-    let mut client = match Client::connect(addr.as_str()) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("cimloop request: cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut failed = false;
-    for spec in &specs {
-        let text = match std::fs::read_to_string(spec) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("{}: {e}", spec.display());
-                failed = true;
-                continue;
-            }
-        };
+    let mut client = Client::connect(addr)
+        .map_err(|e| failed(format!("cimloop request: cannot connect to {addr}"), e))?;
+    let protocol = |e| failed("cimloop request: protocol error", e);
+    let mut failures = 0;
+    for &spec in specs {
         // `.json` specs travel as RUNJSON frames; the daemon decodes
         // them through the same reflected schemas, so the served TSV is
         // byte-identical to the yamlite path.
-        let response = match detect_format(spec, None) {
-            SpecFormat::Json => client.run_json(&text),
-            SpecFormat::Yamlite => client.run(&text),
-        };
-        match response {
-            Ok(Response::Ok { name, body }) => {
-                match cimloop_bench::write_tsv(&out_dir, &name, &body) {
-                    Ok(path) => {
-                        println!("{}: served `{name}` -> {}", spec.display(), path.display())
-                    }
-                    Err(e) => {
-                        eprintln!("cimloop request: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            Ok(Response::Err(message)) => {
-                eprintln!("{}: {message}", spec.display());
-                failed = true;
-            }
+        let response = match std::fs::read_to_string(spec) {
+            Ok(text) if has_extension(spec, "json") => client.run_json(&text),
+            Ok(text) => client.run(&text),
             Err(e) => {
-                eprintln!("{}: protocol error: {e}", spec.display());
-                return ExitCode::FAILURE;
+                eprintln!("{spec}: {e}");
+                failures += 1;
+                continue;
+            }
+        };
+        match response.map_err(protocol)? {
+            Response::Ok { name, body } => {
+                let path = cimloop_bench::write_tsv(args.out_dir(), &name, &body)
+                    .map_err(|e| failed("cimloop request", e))?;
+                println!("{spec}: served `{name}` -> {}", path.display());
+            }
+            Response::Err(message) => {
+                eprintln!("{spec}: {message}");
+                failures += 1;
             }
         }
     }
     if let Some(stats_file) = stats_file {
-        match client.stats() {
-            Ok(Response::Ok { body, .. }) => {
-                if stats_file == "-" {
-                    println!("{}", String::from_utf8_lossy(&body));
-                } else if let Err(e) = std::fs::write(&stats_file, &body) {
-                    eprintln!("cimloop request: cannot write {stats_file}: {e}");
-                    return ExitCode::FAILURE;
-                }
+        match client.stats().map_err(protocol)? {
+            Response::Ok { body, .. } if stats_file == "-" => {
+                println!("{}", String::from_utf8_lossy(&body));
             }
-            Ok(Response::Err(message)) => {
+            Response::Ok { body, .. } => std::fs::write(stats_file, &body)
+                .map_err(|e| failed(format!("cimloop request: cannot write {stats_file}"), e))?,
+            Response::Err(message) => {
                 eprintln!("cimloop request: STATS failed: {message}");
-                failed = true;
-            }
-            Err(e) => {
-                eprintln!("cimloop request: protocol error: {e}");
-                return ExitCode::FAILURE;
+                failures += 1;
             }
         }
     }
     if shutdown {
-        match client.shutdown() {
-            Ok(Response::Ok { .. }) => println!("cimloop request: daemon shutting down"),
-            Ok(Response::Err(message)) => {
+        match client.shutdown().map_err(protocol)? {
+            Response::Ok { .. } => println!("cimloop request: daemon shutting down"),
+            Response::Err(message) => {
                 eprintln!("cimloop request: SHUTDOWN failed: {message}");
-                failed = true;
-            }
-            Err(e) => {
-                eprintln!("cimloop request: protocol error: {e}");
-                return ExitCode::FAILURE;
+                failures += 1;
             }
         }
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    if failures > 0 {
+        return Err(Stop::Failed(format!(
+            "cimloop request: {failures} command(s) failed"
+        )));
     }
-}
-
-fn usage_error(message: &str) -> ExitCode {
-    eprintln!("{message}\n{USAGE}");
-    ExitCode::from(2)
+    Ok(())
 }

@@ -1,5 +1,5 @@
-//! The experiment runners behind the `cimloop` subcommands, one per
-//! scenario `experiment:` kind.
+//! The experiment runners behind [`crate::run`], one per scenario
+//! `experiment:` kind.
 //!
 //! Each runner drives the library's engines directly (`NetworkEngine`
 //! for network evaluations, `Explorer` for design grids, the value-exact
@@ -111,15 +111,9 @@ struct Axis {
 }
 
 fn axis_for(section: &Section, key: &str) -> Result<Option<Axis>, CliError> {
-    // `variations` layers the swept cell-variation sigma onto whatever
-    // noise the scenario already declared (a !Noise section's read
-    // noise/ADC offset must not be silently dropped by sweeping).
     let (title, integer, apply): (&'static str, bool, fn(ArrayMacro, f64) -> ArrayMacro) = match key
     {
-        "variations" => ("variation", false, |m, v| {
-            let noise = m.noise().with_cell_variation(v);
-            m.with_noise(noise)
-        }),
+        "variations" => ("variation", false, ArrayMacro::with_cell_variation),
         "adc_bits" => ("ADC bits", true, |m, v| m.with_adc_bits(v as u32)),
         "dac_bits" => ("DAC bits", true, |m, v| m.with_dac_resolution(v as u32)),
         "square_arrays" => ("array", true, |m, v| m.with_array(v as u64, v as u64)),
@@ -359,21 +353,10 @@ fn front_table(
     Ok(out)
 }
 
-/// `experiment: dse` — explore the design grid and report the Pareto
-/// front (ascending design id).
-pub fn dse(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTable, CliError> {
-    let table = dse_with(doc, ctx, &DseOptions::default())?;
-    table.ok_or_else(|| {
-        CliError::usage("internal: an unsharded, unbudgeted dse run yielded no table".to_owned())
-    })
-}
-
 /// Production-scale controls for a dse run, all defaulting to the plain
-/// full sweep. `staged: None` defers to the scenario's `staged:` key.
+/// full sweep. Whether to stage is the scenario's `staged:` key.
 #[derive(Debug, Clone, Default)]
 pub struct DseOptions {
-    /// Forces the staged pre-pass on/off; `None` uses the scenario key.
-    pub staged: Option<bool>,
     /// Where to save (and with [`Self::resume`], load) sweep progress.
     pub checkpoint: Option<std::path::PathBuf>,
     /// Resume from [`Self::checkpoint`] if it exists (a missing file
@@ -389,26 +372,27 @@ impl DseOptions {
     /// Whether any production-scale control is set (such runs are only
     /// meaningful for `experiment: dse`, not `compare`).
     pub fn is_default(&self) -> bool {
-        self.staged.is_none()
-            && self.checkpoint.is_none()
+        self.checkpoint.is_none()
             && !self.resume
             && self.shard.is_none()
             && self.max_evaluations.is_none()
     }
 }
 
-/// [`dse`] with production-scale options: staged evaluation, sharding,
-/// evaluation budgets, and checkpoint/resume. Returns `None` when the
-/// run intentionally produces no result table — a shard run (its front
-/// lives in its checkpoint until `cimloop merge-fronts` recombines the
-/// shards) or a budget-stopped run (resume it to completion first).
+/// `experiment: dse` — explore the design grid and report the Pareto
+/// front (ascending design id), with the production-scale options:
+/// sharding, evaluation budgets, and checkpoint/resume. Returns `None`
+/// when the run intentionally produces no result table — a shard run
+/// (its front lives in its checkpoint until `cimloop merge-fronts`
+/// recombines the shards) or a budget-stopped run (resume it to
+/// completion first).
 ///
 /// # Errors
 ///
-/// All of [`dse`]'s, plus checkpoint I/O and mismatch errors; a `!Space`
-/// that yields zero candidates is reported as a line-numbered spec
-/// error on the `!Space` section.
-pub fn dse_with(
+/// Resolution and engine errors, plus checkpoint I/O and mismatch
+/// errors; a `!Space` that yields zero candidates is reported as a
+/// line-numbered spec error on the `!Space` section.
+pub fn dse(
     doc: &ScenarioDoc,
     ctx: &RunContext,
     opts: &DseOptions,
@@ -416,9 +400,8 @@ pub fn dse_with(
     let space = space_for(doc)?;
     let net = resolve::workload(doc)?;
     let explorer = explorer_for(doc)?.with_cache(ctx.cache().clone());
-    let header = ScenarioSection::decode(doc.scenario())?;
     let mut plan = SweepPlan {
-        staged: opts.staged.unwrap_or(header.staged),
+        staged: ScenarioSection::decode(doc.scenario())?.staged,
         shard: opts.shard,
         max_evaluations: opts.max_evaluations,
         resume: None,
@@ -504,8 +487,8 @@ fn report_sweep(exploration: &Exploration, plan: &SweepPlan) {
 /// dse scenario into the single-process Pareto front and result table.
 /// Every checkpoint must have been captured on this scenario's design
 /// space under its accuracy objective (fingerprint-verified). The merged
-/// TSV is byte-identical to an unsharded `cimloop dse` run because the
-/// front is insertion-order-independent.
+/// TSV is byte-identical to an unsharded run because the front is
+/// insertion-order-independent.
 ///
 /// # Errors
 ///

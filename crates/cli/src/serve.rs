@@ -44,15 +44,18 @@
 //!
 //! # Concurrency, bounding, cancellation
 //!
-//! Requests flow through a **bounded job queue** ([`ServeConfig::queue_depth`])
-//! drained by a fixed worker pool; when the queue is full the request is
-//! rejected immediately (`ERR … queue full`) instead of buffering without
-//! bound. Each request carries a cancellation flag: while a request waits
-//! for its result, its connection is polled, and a **client disconnect
-//! aborts the job** — a still-queued job is skipped (counted in
-//! `jobs_aborted`), a running job has its result discarded. A malformed
-//! or failing scenario fails the *request* (`ERR` response), never the
-//! process; worker panics are caught and reported the same way.
+//! Each connection has its own thread, and each request runs on the
+//! thread of the connection that sent it. An **admission gate** bounds
+//! the work: at most [`ServeConfig::workers`] requests are evaluated at
+//! once and at most [`ServeConfig::queue_depth`] wait for a slot; a
+//! request arriving at a full gate is rejected immediately
+//! (`ERR job queue full …`) instead of buffering without bound. While a
+//! request waits, its connection is polled, and a **client disconnect
+//! aborts it**: the waiting request is skipped (counted in
+//! `jobs_aborted`); a running request's result is discarded. A malformed
+//! or failing scenario fails the *request* (`ERR` response, counted in
+//! `jobs_failed`), never the process; a panic is caught, fails only its
+//! own request and is counted in `jobs_panicked`.
 
 // The panic policy: a failing request must never take the daemon down.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -60,8 +63,7 @@
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use cimloop_core::EnergyTableCache;
@@ -79,10 +81,11 @@ const BODY_DEADLINE: Duration = Duration::from_secs(10);
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads draining the job queue. Each job's engine
-    /// parallelizes internally, so a small pool saturates the machine.
+    /// Requests evaluated at once. Each request's engine parallelizes
+    /// internally, so a small number saturates the machine.
     pub workers: usize,
-    /// Bounded job-queue depth; a full queue rejects new requests.
+    /// Requests that may wait for an evaluation slot; a request arriving
+    /// while this many wait is rejected.
     pub queue_depth: usize,
     /// Entry-count cap of the shared cache's energy-table level
     /// (`usize::MAX` = unbounded).
@@ -106,18 +109,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// What one request resolved to, sent from a worker back to the
-/// connection that submitted it.
-enum JobOutcome {
-    /// The scenario ran; `name` is the TSV file stem, `tsv` its bytes.
-    Table { name: String, tsv: String },
-    /// The scenario failed (parse/resolution/engine error, or a caught
-    /// worker panic).
-    Failed(String),
-    /// The job was cancelled before it started.
-    Aborted,
-}
-
 /// The encoding of one request body (`RUN` vs `RUNJSON`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpecFormat {
@@ -127,107 +118,128 @@ pub enum SpecFormat {
     Json,
 }
 
-/// One queued request.
-struct Job {
-    spec: String,
-    format: SpecFormat,
-    cancel: Arc<AtomicBool>,
-    reply: mpsc::Sender<JobOutcome>,
+/// The admission gate: at most `workers` requests run at once and at
+/// most `queue_depth` wait for a slot. Closing it refuses new requests;
+/// those already waiting still run.
+struct Gate {
+    counts: Mutex<GateCounts>,
+    freed: Condvar,
+    workers: usize,
+    queue_depth: usize,
 }
 
-/// A bounded MPMC job queue: rejects when full, blocks consumers when
-/// empty, drains remaining jobs after close (graceful shutdown).
-struct JobQueue {
-    inner: Mutex<QueueInner>,
-    ready: Condvar,
-    capacity: usize,
-}
-
-struct QueueInner {
-    jobs: std::collections::VecDeque<Job>,
+#[derive(Default)]
+struct GateCounts {
+    running: usize,
+    waiting: usize,
     closed: bool,
 }
 
-/// Why a push was refused.
-enum PushError {
+/// Why the gate did not admit a request.
+#[derive(Debug, PartialEq, Eq)]
+enum Refused {
     Full,
     Closed,
+    /// The client left while its request waited.
+    Left,
 }
 
-impl JobQueue {
-    fn new(capacity: usize) -> Self {
-        JobQueue {
-            inner: Mutex::new(QueueInner {
-                jobs: std::collections::VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            capacity,
+/// A running request's evaluation slot, given back on drop.
+struct Permit<'a>(&'a Gate);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.locked().running -= 1;
+        self.0.freed.notify_one();
+    }
+}
+
+impl Gate {
+    fn new(workers: usize, queue_depth: usize) -> Self {
+        Gate {
+            counts: Mutex::new(GateCounts::default()),
+            freed: Condvar::new(),
+            workers: workers.max(1),
+            queue_depth: queue_depth.max(1),
         }
     }
 
-    /// Locks the queue, recovering from poison: a worker that panicked
-    /// mid-push/pop cannot leave the deque in a torn state (every
-    /// critical section completes its mutation before unlocking), and a
-    /// failing request must never take the whole daemon down.
-    fn locked(&self) -> std::sync::MutexGuard<'_, QueueInner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// Locks the counts, recovering from poison: every critical section
+    /// leaves them consistent before it can panic, and a failing request
+    /// must never take the daemon down.
+    fn locked(&self) -> MutexGuard<'_, GateCounts> {
+        self.counts.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn push(&self, job: Job) -> Result<(), PushError> {
-        let mut inner = self.locked();
-        if inner.closed {
-            return Err(PushError::Closed);
+    /// Admits one request, waiting for a slot while the gate is busy.
+    /// `left` is polled while the request waits; when it reports that the
+    /// client is gone, the request gives up its place.
+    fn admit(&self, left: impl Fn() -> bool) -> Result<Permit<'_>, Refused> {
+        let mut counts = self.locked();
+        if counts.closed {
+            return Err(Refused::Closed);
         }
-        if inner.jobs.len() >= self.capacity {
-            return Err(PushError::Full);
+        if counts.running >= self.workers && counts.waiting >= self.queue_depth {
+            return Err(Refused::Full);
         }
-        inner.jobs.push_back(job);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until a job is available or the queue is closed *and*
-    /// drained.
-    fn pop(&self) -> Option<Job> {
-        let mut inner = self.locked();
-        loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                return Some(job);
+        counts.waiting += 1;
+        while counts.running >= self.workers {
+            let (guard, wait) = self
+                .freed
+                .wait_timeout(counts, POLL_INTERVAL)
+                .unwrap_or_else(PoisonError::into_inner);
+            counts = guard;
+            if wait.timed_out() && counts.running >= self.workers {
+                // Poll the client without holding the lock: the probe
+                // may block for up to one poll interval.
+                drop(counts);
+                let gone = left();
+                counts = self.locked();
+                if gone {
+                    counts.waiting -= 1;
+                    return Err(Refused::Left);
+                }
             }
-            if inner.closed {
-                return None;
-            }
-            inner = self
-                .ready
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
+        counts.waiting -= 1;
+        counts.running += 1;
+        Ok(Permit(self))
     }
 
     fn close(&self) {
         self.locked().closed = true;
-        self.ready.notify_all();
     }
 }
 
-/// Shared daemon state: the queue, the process-wide cache, counters.
+/// Shared daemon state: the gate, the process-wide cache, counters.
 struct ServerState {
-    queue: JobQueue,
+    gate: Gate,
     ctx: RunContext,
     shutdown: AtomicBool,
     local: SocketAddr,
     jobs_run: AtomicU64,
     jobs_failed: AtomicU64,
+    jobs_panicked: AtomicU64,
     jobs_aborted: AtomicU64,
 }
 
 impl ServerState {
+    fn new(gate: Gate, ctx: RunContext, local: SocketAddr) -> Self {
+        ServerState {
+            gate,
+            ctx,
+            shutdown: AtomicBool::new(false),
+            local,
+            jobs_run: AtomicU64::new(0),
+            jobs_failed: AtomicU64::new(0),
+            jobs_panicked: AtomicU64::new(0),
+            jobs_aborted: AtomicU64::new(0),
+        }
+    }
+
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.queue.close();
+        self.gate.close();
         // Wake a blocking accept() so the listener notices the flag.
         let _ = TcpStream::connect(self.local);
     }
@@ -236,38 +248,45 @@ impl ServerState {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Runs one job to completion (or skips it when already cancelled).
-    /// Never panics outward: a panicking scenario fails its request.
-    fn execute(&self, job: Job) {
-        if job.cancel.load(Ordering::SeqCst) {
-            self.jobs_aborted.fetch_add(1, Ordering::Relaxed);
-            let _ = job.reply.send(JobOutcome::Aborted);
-            return;
-        }
-        let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_request(&job.spec, job.format, &self.ctx)
-        })) {
-            Ok(Ok((name, tsv))) => {
+    /// Admits one request through the gate, runs it and counts the
+    /// outcome: `(name, tsv)`, or the message of the `ERR` reply. `left`
+    /// reports whether the client is gone while the request waits.
+    /// Never panics outward: a panicking request fails only itself.
+    fn execute(
+        &self,
+        left: impl Fn() -> bool,
+        request: impl FnOnce(&RunContext) -> Result<(String, String), CliError>,
+    ) -> Result<(String, String), String> {
+        let _permit = match self.gate.admit(left) {
+            Ok(permit) => permit,
+            Err(Refused::Full) => {
+                return Err(format!("job queue full (depth {})", self.gate.queue_depth))
+            }
+            Err(Refused::Closed) => return Err("server is shutting down".to_owned()),
+            Err(Refused::Left) => {
+                self.jobs_aborted.fetch_add(1, Ordering::Relaxed);
+                return Err("request cancelled".to_owned());
+            }
+        };
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| request(&self.ctx))) {
+            Ok(Ok(reply)) => {
                 self.jobs_run.fetch_add(1, Ordering::Relaxed);
-                JobOutcome::Table { name, tsv }
+                Ok(reply)
             }
             Ok(Err(e)) => {
                 self.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                JobOutcome::Failed(e.to_string())
+                Err(e.to_string())
             }
             Err(panic) => {
-                self.jobs_failed.fetch_add(1, Ordering::Relaxed);
+                self.jobs_panicked.fetch_add(1, Ordering::Relaxed);
                 let what = panic
                     .downcast_ref::<&str>()
                     .map(|s| (*s).to_owned())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".to_owned());
-                JobOutcome::Failed(format!("request panicked: {what}"))
+                Err(format!("request panicked: {what}"))
             }
-        };
-        // A send failure means the requester disconnected while the job
-        // ran; the result is simply discarded.
-        let _ = job.reply.send(outcome);
+        }
     }
 
     /// The STATS response body: cache occupancy/traffic plus request
@@ -275,10 +294,11 @@ impl ServerState {
     fn stats_json(&self) -> String {
         format!(
             "{{\"cache\": {}, \"server\": {{\"jobs_run\": {}, \"jobs_failed\": {}, \
-             \"jobs_aborted\": {}}}}}",
+             \"jobs_panicked\": {}, \"jobs_aborted\": {}}}}}",
             self.ctx.cache().stats_snapshot().to_json(),
             self.jobs_run.load(Ordering::Relaxed),
             self.jobs_failed.load(Ordering::Relaxed),
+            self.jobs_panicked.load(Ordering::Relaxed),
             self.jobs_aborted.load(Ordering::Relaxed),
         )
     }
@@ -320,15 +340,11 @@ impl Server {
             config.table_capacity,
             config.stats_capacity,
         ));
-        let state = Arc::new(ServerState {
-            queue: JobQueue::new(config.queue_depth.max(1)),
-            ctx: RunContext::with_cache(cache),
-            shutdown: AtomicBool::new(false),
+        let state = Arc::new(ServerState::new(
+            Gate::new(config.workers, config.queue_depth),
+            RunContext::with_cache(cache),
             local,
-            jobs_run: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            jobs_aborted: AtomicU64::new(0),
-        });
+        ));
         Ok(Server {
             listener,
             config,
@@ -351,54 +367,40 @@ impl Server {
     }
 
     /// Serves until `SHUTDOWN` (or, with [`ServeConfig::once`], until the
-    /// single accepted connection closes). Queued jobs finish before the
-    /// call returns — shutdown is graceful.
+    /// single accepted connection closes). Waiting requests finish before
+    /// the call returns — shutdown is graceful.
     ///
     /// # Errors
     ///
     /// Propagates accept-loop I/O failures; per-connection and per-request
     /// failures are handled in-protocol and never end the daemon.
     pub fn run(self) -> io::Result<()> {
-        let workers: Vec<_> = (0..self.config.workers.max(1))
-            .map(|_| {
-                let state = Arc::clone(&self.state);
-                std::thread::spawn(move || {
-                    while let Some(job) = state.queue.pop() {
-                        state.execute(job);
-                    }
-                })
-            })
-            .collect();
-
-        let mut connections = Vec::new();
         if self.config.once {
             let (stream, _) = self.listener.accept()?;
-            let state = Arc::clone(&self.state);
-            if let Err(e) = handle_connection(stream, &state) {
+            if let Err(e) = handle_connection(stream, &self.state) {
                 eprintln!("cimloop-serve: connection error: {e}");
             }
-            self.state.begin_shutdown();
-        } else {
-            loop {
-                let (stream, _) = self.listener.accept()?;
-                if self.state.shutting_down() {
-                    break;
-                }
-                let state = Arc::clone(&self.state);
-                connections.push(std::thread::spawn(move || {
-                    if let Err(e) = handle_connection(stream, &state) {
-                        eprintln!("cimloop-serve: connection error: {e}");
-                    }
-                }));
+            return Ok(());
+        }
+        let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        loop {
+            let (stream, _) = self.listener.accept()?;
+            if self.state.shutting_down() {
+                break;
             }
+            // Release the threads of closed connections: each one keeps
+            // its stack mapped until its handle is joined or dropped.
+            connections.retain(|c| !c.is_finished());
+            let state = Arc::clone(&self.state);
+            connections.push(std::thread::spawn(move || {
+                if let Err(e) = handle_connection(stream, &state) {
+                    eprintln!("cimloop-serve: connection error: {e}");
+                }
+            }));
         }
-
-        // Graceful drain: the queue is closed (begin_shutdown), workers
-        // finish what was already accepted, connections unwind on the
-        // shutdown flag.
-        for worker in workers {
-            let _ = worker.join();
-        }
+        // Graceful drain: the gate is closed (begin_shutdown), admitted
+        // and waiting requests finish on their connections, and idle
+        // connections unwind on the shutdown flag.
         for connection in connections {
             let _ = connection.join();
         }
@@ -505,7 +507,7 @@ fn peer_disconnected(stream: &TcpStream) -> bool {
 }
 
 /// Serves one client connection: command loop until EOF/SHUTDOWN.
-fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) -> io::Result<()> {
+fn handle_connection(stream: TcpStream, state: &ServerState) -> io::Result<()> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     stream.set_nodelay(true).ok();
     let mut writer = stream.try_clone()?;
@@ -547,8 +549,17 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) -> io::Result<
                     continue;
                 }
                 let body = read_body(&mut reader, len)?;
-                let spec = String::from_utf8_lossy(&body).into_owned();
-                serve_run(&mut writer, reader.get_ref(), state, spec, format)?;
+                let spec = String::from_utf8_lossy(&body);
+                // The connection is polled while the request waits, so a
+                // client disconnect cancels it.
+                let probe = reader.get_ref();
+                match state.execute(
+                    || peer_disconnected(probe),
+                    |ctx| run_request(&spec, format, ctx),
+                ) {
+                    Ok((name, tsv)) => write_ok(&mut writer, &name, tsv.as_bytes())?,
+                    Err(message) => write_err(&mut writer, &message)?,
+                }
             }
             other => write_err(
                 &mut writer,
@@ -559,55 +570,6 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) -> io::Result<
         }
     }
     Ok(())
-}
-
-/// Submits one RUN request to the bounded queue and relays its outcome,
-/// polling the connection so a client disconnect cancels the job.
-fn serve_run(
-    writer: &mut TcpStream,
-    probe: &TcpStream,
-    state: &Arc<ServerState>,
-    spec: String,
-    format: SpecFormat,
-) -> io::Result<()> {
-    let cancel = Arc::new(AtomicBool::new(false));
-    let (reply, outcome) = mpsc::channel();
-    let job = Job {
-        spec,
-        format,
-        cancel: Arc::clone(&cancel),
-        reply,
-    };
-    match state.queue.push(job) {
-        Err(PushError::Full) => {
-            return write_err(
-                writer,
-                &format!("job queue full (depth {})", state.queue.capacity),
-            )
-        }
-        Err(PushError::Closed) => return write_err(writer, "server is shutting down"),
-        Ok(()) => {}
-    }
-    loop {
-        match outcome.recv_timeout(POLL_INTERVAL) {
-            Ok(JobOutcome::Table { name, tsv }) => return write_ok(writer, &name, tsv.as_bytes()),
-            Ok(JobOutcome::Failed(message)) => return write_err(writer, &message),
-            Ok(JobOutcome::Aborted) => {
-                // The requester is gone (that is what cancelled it); the
-                // write fails silently, which is fine.
-                return write_err(writer, "request cancelled");
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if peer_disconnected(probe) {
-                    cancel.store(true, Ordering::SeqCst);
-                    return Ok(());
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return write_err(writer, "worker pool unavailable")
-            }
-        }
-    }
 }
 
 /// A minimal blocking client for the serve protocol, shared by
@@ -776,29 +738,24 @@ pub mod client {
 mod tests {
     use super::*;
 
-    fn test_state(queue_depth: usize) -> Arc<ServerState> {
-        Arc::new(ServerState {
-            queue: JobQueue::new(queue_depth),
-            ctx: RunContext::new(),
-            shutdown: AtomicBool::new(false),
-            local: "127.0.0.1:1".parse().expect("literal addr"),
-            jobs_run: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            jobs_aborted: AtomicU64::new(0),
-        })
+    fn test_state(workers: usize, queue_depth: usize) -> ServerState {
+        ServerState::new(
+            Gate::new(workers, queue_depth),
+            RunContext::new(),
+            "127.0.0.1:1".parse().expect("literal addr"),
+        )
     }
 
-    fn job(spec: &str, cancel: &Arc<AtomicBool>) -> (Job, mpsc::Receiver<JobOutcome>) {
-        let (reply, rx) = mpsc::channel();
-        (
-            Job {
-                spec: spec.to_owned(),
-                format: SpecFormat::Yamlite,
-                cancel: Arc::clone(cancel),
-                reply,
-            },
-            rx,
-        )
+    /// Serves one yamlite request from a client that stays connected.
+    fn serve(state: &ServerState, spec: &str) -> Result<(String, String), String> {
+        state.execute(|| false, |ctx| run_request(spec, SpecFormat::Yamlite, ctx))
+    }
+
+    /// Blocks until `n` requests wait at the gate.
+    fn await_waiting(gate: &Gate, n: usize) {
+        while gate.locked().waiting < n {
+            std::thread::yield_now();
+        }
     }
 
     const TINY_SPEC: &str = "!Scenario\nname: tiny\nexperiment: evaluate\n\
@@ -806,78 +763,71 @@ mod tests {
                              !Workload\nmodel: mvm\nrows: 16\ncols: 16\n";
 
     #[test]
-    fn queue_rejects_when_full_and_drains_after_close() {
-        let queue = JobQueue::new(2);
-        let cancel = Arc::new(AtomicBool::new(false));
-        let (a, _ra) = job("a", &cancel);
-        let (b, _rb) = job("b", &cancel);
-        let (c, _rc) = job("c", &cancel);
-        assert!(queue.push(a).is_ok());
-        assert!(queue.push(b).is_ok());
-        assert!(matches!(queue.push(c), Err(PushError::Full)));
-        queue.close();
-        let (d, _rd) = job("d", &cancel);
-        assert!(matches!(queue.push(d), Err(PushError::Closed)));
-        // The two accepted jobs still drain after close — graceful.
-        assert!(queue.pop().is_some());
-        assert!(queue.pop().is_some());
-        assert!(queue.pop().is_none());
+    fn gate_rejects_when_full_and_runs_waiters_after_close() {
+        let gate = Gate::new(1, 1);
+        let running = gate.admit(|| false).expect("a free slot admits");
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| gate.admit(|| false).map(drop));
+            await_waiting(&gate, 1);
+            // One request runs and one waits: the gate is full.
+            assert_eq!(gate.admit(|| false).err(), Some(Refused::Full));
+            // Closing refuses new requests; the waiting one still runs
+            // once the slot frees — shutdown is graceful.
+            gate.close();
+            assert_eq!(gate.admit(|| false).err(), Some(Refused::Closed));
+            drop(running);
+            assert_eq!(waiter.join().expect("waiter thread"), Ok(()));
+        });
+        let counts = gate.locked();
+        assert_eq!((counts.running, counts.waiting), (0, 0));
     }
 
     #[test]
-    fn cancelled_job_is_skipped_not_run() {
-        let state = test_state(4);
-        let cancel = Arc::new(AtomicBool::new(true));
-        let (j, rx) = job(TINY_SPEC, &cancel);
-        state.execute(j);
-        assert!(matches!(rx.recv().unwrap(), JobOutcome::Aborted));
+    fn waiting_request_whose_client_left_is_skipped_not_run() {
+        let state = test_state(1, 4);
+        let running = state.gate.admit(|| false).expect("a free slot admits");
+        let reply = state.execute(|| true, |_| panic!("a cancelled request must not run"));
+        assert_eq!(reply, Err("request cancelled".to_owned()));
         assert_eq!(state.jobs_aborted.load(Ordering::Relaxed), 1);
         assert_eq!(state.jobs_run.load(Ordering::Relaxed), 0);
+        assert_eq!(state.jobs_panicked.load(Ordering::Relaxed), 0);
+        assert_eq!(state.gate.locked().waiting, 0);
+        drop(running);
     }
 
     #[test]
     fn malformed_spec_fails_the_request_not_the_worker() {
-        let state = test_state(4);
-        let cancel = Arc::new(AtomicBool::new(false));
-        let (j, rx) = job("!Scenario\nname: broken\n", &cancel);
-        state.execute(j);
-        match rx.recv().unwrap() {
-            JobOutcome::Failed(message) => {
-                assert!(!message.is_empty());
-            }
-            other => panic!(
-                "expected a Failed outcome, got {}",
-                match other {
-                    JobOutcome::Table { name, .. } => format!("Table({name})"),
-                    JobOutcome::Aborted => "Aborted".to_owned(),
-                    JobOutcome::Failed(_) => unreachable!(),
-                }
-            ),
-        }
+        let state = test_state(1, 4);
+        let message =
+            serve(&state, "!Scenario\nname: broken\n").expect_err("a malformed spec fails");
+        assert!(!message.is_empty());
         assert_eq!(state.jobs_failed.load(Ordering::Relaxed), 1);
-        // The same worker happily serves the next request.
-        let (j, rx) = job(TINY_SPEC, &cancel);
-        state.execute(j);
-        assert!(matches!(rx.recv().unwrap(), JobOutcome::Table { .. }));
+        // The next request is served as usual.
+        assert!(serve(&state, TINY_SPEC).is_ok());
         assert_eq!(state.jobs_run.load(Ordering::Relaxed), 1);
     }
 
     #[test]
+    fn panicking_request_fails_alone_and_is_counted() {
+        let state = test_state(1, 1);
+        let reply = state.execute(|| false, |_| panic!("boom"));
+        assert_eq!(reply, Err("request panicked: boom".to_owned()));
+        assert_eq!(state.jobs_panicked.load(Ordering::Relaxed), 1);
+        assert_eq!(state.jobs_failed.load(Ordering::Relaxed), 0);
+        // The panicking request gave its slot back.
+        assert!(serve(&state, TINY_SPEC).is_ok());
+        let stats = state.stats_json();
+        assert!(stats.contains("\"jobs_panicked\": 1"), "{stats}");
+    }
+
+    #[test]
     fn good_job_returns_the_batch_tsv() {
-        let state = test_state(4);
-        let cancel = Arc::new(AtomicBool::new(false));
-        let (j, rx) = job(TINY_SPEC, &cancel);
-        state.execute(j);
-        match rx.recv().unwrap() {
-            JobOutcome::Table { name, tsv } => {
-                assert_eq!(name, "tiny");
-                let doc = ScenarioDoc::parse(TINY_SPEC).unwrap();
-                let batch = crate::run_scenario(&doc).unwrap().to_tsv();
-                assert_eq!(tsv, batch, "served TSV must equal the batch TSV");
-            }
-            JobOutcome::Failed(e) => panic!("job failed: {e}"),
-            JobOutcome::Aborted => panic!("job aborted"),
-        }
+        let state = test_state(1, 4);
+        let (name, tsv) = serve(&state, TINY_SPEC).expect("the request runs");
+        assert_eq!(name, "tiny");
+        let doc = ScenarioDoc::parse(TINY_SPEC).unwrap();
+        let batch = crate::run_scenario(&doc).unwrap().to_tsv();
+        assert_eq!(tsv, batch, "served TSV must equal the batch TSV");
         let stats = state.stats_json();
         assert!(stats.contains("\"jobs_run\": 1"), "{stats}");
     }

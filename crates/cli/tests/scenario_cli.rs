@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 
 use cimloop_cli::{
-    dse_with, merge_fronts, run_scenario, validate_doc_with, validate_text, CliError, DseOptions,
+    merge_fronts, run, run_scenario, validate_doc_with, validate_text, CliError, DseOptions,
     RunContext, ValidateOptions,
 };
 use cimloop_dse::{DesignSpace, Explorer, Shard};
@@ -269,6 +269,48 @@ fn sweep_variations_layer_onto_declared_noise() {
 }
 
 #[test]
+fn space_variations_layer_onto_declared_noise() {
+    // Regression: a `!Space` variations axis replaced the declared noise
+    // with a bare cell-variation spec, so the front dropped the `!Noise`
+    // read noise and ADC offset and showed the noise-free SNR. It must
+    // agree with a `!Sweep` over the same sigmas.
+    let sections = "!Architecture\nname: base\nmacro: base\ncalibrated: false\n\
+                    rows: 32\ncols: 32\nadc_bits: 8\n\
+                    !Noise\nread_noise: 0.02\nadc_offset: 0.5\n\
+                    !Workload\nmodel: mvm\nrows: 32\ncols: 32\nbatch: 4\n";
+    let tsv = |text: String| {
+        run_scenario(&ScenarioDoc::parse(&text).unwrap())
+            .unwrap()
+            .to_tsv()
+    };
+    let front = tsv(format!(
+        "!Scenario\nname: d\nexperiment: dse\n{sections}!Space\nvariations: [0.0, 0.1]\n"
+    ));
+    let swept = tsv(format!(
+        "!Scenario\nname: s\nexperiment: sweep\n{sections}\
+         !Sweep\nvariations: [0.0, 0.1]\nmetrics: [snr_db]\n"
+    ));
+    let best: Vec<&str> = front
+        .lines()
+        .nth(1)
+        .expect("a front row")
+        .split('\t')
+        .collect();
+    assert_eq!(best[0], "base/32x32/dac1/adc8/rn0.02/off0.5");
+    let swept_snr = swept
+        .lines()
+        .nth(1)
+        .expect("a sweep row")
+        .split('\t')
+        .nth(1);
+    assert_eq!(
+        Some(best[4]),
+        swept_snr,
+        "front SNR vs !Sweep SNR at sigma 0"
+    );
+}
+
+#[test]
 fn validate_warns_on_defaulted_cycle_time() {
     // An architecture with a declared latency validates without warnings;
     // the defaulted-cycle-time warning is exercised at the unit level
@@ -326,7 +368,7 @@ fn budgeted_dse_checkpoints_and_resumes_to_the_full_front() {
     let dir = temp_dir("resume");
     let ckpt = dir.join("tiny.ckpt");
     let ctx = RunContext::new();
-    let whole = dse_with(
+    let whole = run(
         &tiny_dse_doc("tiny_resume", false),
         &ctx,
         &DseOptions::default(),
@@ -336,7 +378,7 @@ fn budgeted_dse_checkpoints_and_resumes_to_the_full_front() {
 
     // A budget-stopped run writes the checkpoint and returns no table…
     let doc = tiny_dse_doc("tiny_resume", false);
-    let partial = dse_with(
+    let partial = run(
         &doc,
         &ctx,
         &DseOptions {
@@ -353,7 +395,7 @@ fn budgeted_dse_checkpoints_and_resumes_to_the_full_front() {
     assert!(ckpt.exists(), "the checkpoint must be saved");
 
     // …and resuming from it completes to the bit-identical full table.
-    let resumed = dse_with(
+    let resumed = run(
         &doc,
         &ctx,
         &DseOptions {
@@ -374,14 +416,14 @@ fn sharded_dse_merges_byte_identically_to_a_single_process_run() {
     let ctx = RunContext::new();
     // Staged single-process run: the reference TSV (staged and plain
     // fronts are bit-identical by construction — cross-check it too).
-    let whole = dse_with(
+    let whole = run(
         &tiny_dse_doc("tiny_shards", true),
         &ctx,
         &DseOptions::default(),
     )
     .expect("staged run")
     .expect("table");
-    let plain = dse_with(
+    let plain = run(
         &tiny_dse_doc("tiny_shards", false),
         &ctx,
         &DseOptions::default(),
@@ -401,7 +443,7 @@ fn sharded_dse_merges_byte_identically_to_a_single_process_run() {
     let mut checkpoints = Vec::new();
     for index in 0..4 {
         let path = dir.join(format!("shard{index}.ckpt"));
-        let out = dse_with(
+        let out = run(
             &doc,
             &ctx,
             &DseOptions {
@@ -430,7 +472,7 @@ fn merge_fronts_rejects_foreign_checkpoints_and_non_dse_scenarios() {
     let ctx = RunContext::new();
     let doc = tiny_dse_doc("tiny_a", false);
     let ckpt = dir.join("a.ckpt");
-    dse_with(
+    run(
         &doc,
         &ctx,
         &DseOptions {
@@ -561,13 +603,50 @@ fn evaluate_exits_nonzero_when_the_tsv_cannot_be_written() {
 }
 
 #[test]
+fn evaluate_and_validate_reject_a_misspelled_dse_section_at_its_line() {
+    // Regression: the binary ran `experiment: dse` on a second path that
+    // skipped the schema check, so `evaluate` ran `!Spcae` as a
+    // one-design space, wrote its TSV and exited 0. `evaluate`,
+    // `validate` and the daemon's entry point must all cite line 26.
+    let dir = temp_dir("misspelled_space");
+    let spec = dir.join("dse_grid.yaml");
+    let grid = std::fs::read_to_string(repo_root().join("examples/specs/dse_grid.yaml"))
+        .expect("committed spec exists");
+    let misspelled = grid.replacen("\n!Space\n", "\n!Spcae\n", 1);
+    std::fs::write(&spec, &misspelled).expect("spec written");
+    let out = dir.join("out");
+    let out_args = [std::ffi::OsStr::new("--out"), out.as_os_str()];
+    for (command, extra) in [("evaluate", &out_args[..]), ("validate", &[][..])] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_cimloop"))
+            .arg(command)
+            .arg(&spec)
+            .args(extra)
+            .output()
+            .expect("cimloop runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{command}: {stderr}");
+        assert!(
+            stderr.contains("line 26") && stderr.contains("`Spcae`"),
+            "{command}: {stderr}"
+        );
+    }
+    assert!(!out.exists(), "evaluate must write no TSV");
+    let doc = ScenarioDoc::parse(&misspelled).expect("spec parses");
+    match run_scenario(&doc) {
+        Err(CliError::Spec(SpecError::Parse { line, .. })) => assert_eq!(line, 26),
+        other => panic!("expected a line-numbered spec error, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn resume_without_checkpoint_is_a_usage_error_not_a_panic() {
     // Regression: `--resume` with no `--checkpoint FILE` used to hit an
     // `expect` deep in the runner. The panic policy (P001) demands a
     // propagated CliError instead, so the serve daemon can fail the
     // request and keep running.
     let doc = tiny_dse_doc("tiny_resume_no_ckpt", false);
-    let err = dse_with(
+    let err = run(
         &doc,
         &RunContext::new(),
         &DseOptions {
@@ -599,7 +678,7 @@ fn malformed_spec_is_a_spec_error_not_a_panic() {
     ] {
         match ScenarioDoc::parse(bad) {
             Ok(doc) => {
-                let err = dse_with(&doc, &RunContext::new(), &DseOptions::default())
+                let err = run(&doc, &RunContext::new(), &DseOptions::default())
                     .expect_err("a malformed dse spec must be rejected");
                 assert!(
                     matches!(err, CliError::Spec(_) | CliError::Usage(_)),

@@ -38,6 +38,14 @@ fn expect_table(response: Response) -> (String, Vec<u8>) {
     }
 }
 
+/// The daemon's `STATS` body, asserting that no request panicked.
+fn stats_without_panics(client: &mut Client) -> String {
+    let (_, stats) = expect_table(client.stats().expect("stats"));
+    let stats = String::from_utf8_lossy(&stats).into_owned();
+    assert!(stats.contains("\"jobs_panicked\": 0"), "{stats}");
+    stats
+}
+
 /// Every committed example spec, served through one warm daemon with a
 /// deliberately tiny cache cap (so eviction churns between requests),
 /// answers with exactly the bytes the batch path produces.
@@ -78,8 +86,7 @@ fn every_committed_spec_is_byte_identical_served_vs_batch() {
     }
     // The tiny cap must actually have evicted — otherwise this test
     // isn't exercising what it claims to.
-    let (_, stats) = expect_table(client.stats().expect("stats"));
-    let stats = String::from_utf8_lossy(&stats).into_owned();
+    let stats = stats_without_panics(&mut client);
     assert!(
         !stats.contains("\"stats_evictions\": 0,") && !stats.contains("\"stats_evictions\": 0}"),
         "expected eviction churn under the tiny cap, got {stats}"
@@ -136,6 +143,7 @@ fn concurrent_clients_share_one_cache_and_stay_bit_identical() {
         );
     }
     let mut client = Client::connect(addr).expect("connect");
+    stats_without_panics(&mut client);
     expect_table(client.shutdown().expect("shutdown"));
     handle
         .join()
@@ -171,6 +179,7 @@ fn client_disconnect_aborts_the_request_not_the_daemon() {
         let doc = ScenarioDoc::parse(&spec).expect("spec parses");
         let batch = run_scenario(&doc).expect("batch run").to_tsv();
         assert_eq!(String::from_utf8_lossy(&body), batch);
+        stats_without_panics(&mut rude);
         expect_table(rude.shutdown().expect("shutdown"));
     }
     handle
@@ -181,7 +190,8 @@ fn client_disconnect_aborts_the_request_not_the_daemon() {
 
 /// A hostile RUNJSON frame nesting far past the JSON depth cap (about
 /// 100 KB, well under the body limit) fails its own request with `ERR`;
-/// without the cap it overflowed a worker's stack and aborted the daemon.
+/// without the cap it overflowed the serving thread's stack and aborted
+/// the daemon.
 #[test]
 fn deeply_nested_runjson_fails_the_request_not_the_daemon() {
     let (addr, handle) = spawn_server(ServeConfig::default());
@@ -193,6 +203,7 @@ fn deeply_nested_runjson_fails_the_request_not_the_daemon() {
     }
     let (name, body) = expect_table(client.ping().expect("ping after the deep frame"));
     assert_eq!((name.as_str(), body.len()), ("pong", 0));
+    stats_without_panics(&mut client);
     expect_table(client.shutdown().expect("shutdown"));
     handle
         .join()
@@ -227,6 +238,7 @@ fn repeated_requests_hit_the_shared_cache() {
         "the second identical request must be answered from the shared cache"
     );
     assert!(ctx.cache().hits() > 0, "expected shared-cache table hits");
+    stats_without_panics(&mut client);
     expect_table(client.shutdown().expect("shutdown"));
     handle
         .join()

@@ -23,7 +23,7 @@ cimloop_spec::reflect_section! {
         dac_bits: [list u32 in DAC_RESOLUTION], "DAC-resolution axis, bits";
         adc_bits: [list u32 in ADC_RESOLUTION], "ADC-resolution axis, bits";
         cell_bits: [list u32], "cell bit-width axis";
-        variations: [list sigma], "cell-variation sigma axis, realized as a NoiseSpec axis";
+        variations: [list sigma], "cell-variation sigma axis, layered onto each variant's declared noise";
         max_area_mm2: [opt f64], "stage-one screen: drop candidates whose total area exceeds this, mm2";
         min_coverage: [opt f64], "stage-one screen: drop candidates whose ADC coverage proxy falls below this, in [0, 1]";
     }
@@ -73,8 +73,8 @@ impl DesignPoint {
         self.cim_macro.adc_bits()
     }
 
-    /// The design's non-ideality spec (ideal unless set by the variant or
-    /// a [`DesignSpace::noise_specs`] axis).
+    /// The design's non-ideality spec (ideal unless set by the variant, a
+    /// [`DesignSpace::noise_specs`] axis or a `!Space` `variations` axis).
     pub fn noise(&self) -> NoiseSpec {
         self.cim_macro.noise()
     }
@@ -108,6 +108,16 @@ impl DesignPoint {
 
 type Filter = Arc<dyn Fn(&DesignPoint) -> bool + Send + Sync>;
 
+/// One value of the noise axis.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Noise {
+    /// A whole spec that replaces the variant's ([`DesignSpace::noise_specs`]).
+    Spec(NoiseSpec),
+    /// A cell-variation sigma layered onto the variant's declared noise
+    /// (a `!Space` `variations` axis).
+    CellVariation(f64),
+}
+
 /// A declarative cartesian design space over macro builders.
 ///
 /// Axes left empty keep the variant's own value. Iteration order (and the
@@ -138,7 +148,7 @@ pub struct DesignSpace {
     dac_bits: Vec<u32>,
     adc_bits: Vec<u32>,
     cell_bits: Vec<u32>,
-    noise_specs: Vec<NoiseSpec>,
+    noises: Vec<Noise>,
     filter: Option<Filter>,
     max_area_mm2: Option<f64>,
     min_coverage: Option<f64>,
@@ -155,7 +165,7 @@ impl std::fmt::Debug for DesignSpace {
             .field("dac_bits", &self.dac_bits)
             .field("adc_bits", &self.adc_bits)
             .field("cell_bits", &self.cell_bits)
-            .field("noise_specs", &self.noise_specs)
+            .field("noises", &self.noises)
             .field("filtered", &self.filter.is_some())
             .field("max_area_mm2", &self.max_area_mm2)
             .field("min_coverage", &self.min_coverage)
@@ -204,11 +214,22 @@ impl DesignSpace {
         self
     }
 
-    /// Sets the non-ideality axis (applied via [`ArrayMacro::with_noise`])
-    /// so sweeps can explore variation tolerance: how much accuracy each
-    /// design gives up as its cells and converters get noisier.
+    /// Adds whole specs to the non-ideality axis (each replaces the
+    /// variant's noise via [`ArrayMacro::with_noise`]) so sweeps can
+    /// explore variation tolerance: how much accuracy each design gives up
+    /// as its cells and converters get noisier.
     pub fn noise_specs(mut self, specs: impl IntoIterator<Item = NoiseSpec>) -> Self {
-        self.noise_specs.extend(specs);
+        self.noises.extend(specs.into_iter().map(Noise::Spec));
+        self
+    }
+
+    /// Adds cell-variation sigmas to the non-ideality axis. Each keeps the
+    /// variant's declared read noise and ADC offset
+    /// ([`ArrayMacro::with_cell_variation`]), as a `!Sweep` `variations`
+    /// axis does.
+    fn variations(mut self, sigmas: impl IntoIterator<Item = f64>) -> Self {
+        self.noises
+            .extend(sigmas.into_iter().map(Noise::CellVariation));
         self
     }
 
@@ -219,9 +240,9 @@ impl DesignSpace {
     ///
     /// Recognized keys: `square_arrays` (list of `n` for n×n arrays),
     /// `dac_bits`, `adc_bits`, `cell_bits` (bit-width lists),
-    /// `variations` (cell-variation sigmas, realized as a
-    /// [`NoiseSpec`] axis), and the stage-one screening constraints
-    /// `max_area_mm2` / `min_coverage`.
+    /// `variations` (cell-variation sigmas layered onto each variant's
+    /// declared noise, see [`ArrayMacro::with_cell_variation`]), and the
+    /// stage-one screening constraints `max_area_mm2` / `min_coverage`.
     ///
     /// # Errors
     ///
@@ -263,11 +284,7 @@ impl DesignSpace {
             .dac_bits(axes.dac_bits)
             .adc_bits(axes.adc_bits)
             .cell_bits(axes.cell_bits)
-            .noise_specs(
-                axes.variations
-                    .into_iter()
-                    .map(|sigma| NoiseSpec::new().with_cell_variation(sigma)),
-            );
+            .variations(axes.variations);
         if let Some(cap) = axes.max_area_mm2 {
             space = space.max_area_mm2(cap);
         }
@@ -337,7 +354,7 @@ impl DesignSpace {
             * axis(self.dac_bits.len())
             * axis(self.adc_bits.len())
             * axis(self.cell_bits.len())
-            * axis(self.noise_specs.len())
+            * axis(self.noises.len())
     }
 
     /// Builds the design at cartesian index `id` without materializing the
@@ -357,7 +374,7 @@ impl DesignSpace {
         let dacs = axis(&self.dac_bits);
         let adcs = axis(&self.adc_bits);
         let cells = axis(&self.cell_bits);
-        let noises = axis(&self.noise_specs);
+        let noises = axis(&self.noises);
 
         let mut rem = id as usize;
         let noise = noises[rem % noises.len()];
@@ -386,8 +403,10 @@ impl DesignSpace {
         if let Some(bits) = adc {
             m = m.with_adc_bits(bits);
         }
-        if let Some(spec) = noise {
-            m = m.with_noise(spec);
+        match noise {
+            Some(Noise::Spec(spec)) => m = m.with_noise(spec),
+            Some(Noise::CellVariation(sigma)) => m = m.with_cell_variation(sigma),
+            None => {}
         }
         Some(DesignPoint {
             id,
@@ -436,8 +455,8 @@ impl DesignSpace {
         self.dac_bits.hash(&mut hasher);
         self.adc_bits.hash(&mut hasher);
         self.cell_bits.hash(&mut hasher);
-        for spec in &self.noise_specs {
-            format!("{spec:?}").hash(&mut hasher);
+        for noise in &self.noises {
+            format!("{noise:?}").hash(&mut hasher);
         }
         self.max_area_mm2.map(f64::to_bits).hash(&mut hasher);
         self.min_coverage.map(f64::to_bits).hash(&mut hasher);
@@ -577,6 +596,35 @@ mod tests {
         assert_eq!(designs.len(), 2);
         assert!(designs[0].noise().is_ideal());
         assert_eq!(designs[1].noise().cell_variation(), 0.1);
+    }
+
+    #[test]
+    fn variations_keep_the_variants_declared_noise() {
+        // A swept sigma replaces only the cell variation: the variant's
+        // read noise and ADC offset stay, as they do under `!Sweep`.
+        let declared = NoiseSpec::new().with_read_noise(0.02).with_adc_offset(0.5);
+        let doc = cimloop_spec::ScenarioDoc::parse(
+            "!Scenario\nname: s\n!Space\nvariations: [0.0, 0.1]\n",
+        )
+        .unwrap();
+        let space = DesignSpace::new()
+            .variant("base", base_macro().uncalibrated().with_noise(declared))
+            .with_section(doc.section("Space").unwrap())
+            .unwrap();
+        let designs = space.designs();
+        assert_eq!(designs[0].noise(), declared);
+        assert_eq!(designs[1].noise(), declared.with_cell_variation(0.1));
+        assert_eq!(
+            designs[1].label(),
+            "base/128x128/dac1/adc5/var0.1/rn0.02/off0.5"
+        );
+        // A whole-spec axis still replaces, and the fingerprint tells the
+        // two axes apart.
+        let replaced = DesignSpace::new()
+            .variant("base", base_macro().uncalibrated().with_noise(declared))
+            .noise_specs([0.0, 0.1].map(|s| NoiseSpec::new().with_cell_variation(s)));
+        assert!(replaced.designs()[0].noise().is_ideal());
+        assert_ne!(replaced.fingerprint(), space.fingerprint());
     }
 
     #[test]

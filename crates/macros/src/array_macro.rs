@@ -124,6 +124,14 @@ impl ArrayMacro {
         self
     }
 
+    /// Sets the cell-variation sigma and keeps the rest of the declared
+    /// noise (read noise, ADC offset). This is what a swept `variations`
+    /// axis means, in `!Sweep` and `!Space` alike.
+    pub fn with_cell_variation(self, sigma: f64) -> Self {
+        let noise = self.noise.with_cell_variation(sigma);
+        self.with_noise(noise)
+    }
+
     /// Applies a per-component energy multiplier (the paper's component
     /// calibration: each component's energy is matched to published
     /// values).

@@ -2,8 +2,8 @@
 //!
 //! This is the second frontend over the reflection core (yamlite being
 //! the first): `cimloop serve` accepts `RUNJSON` frames and
-//! `cimloop evaluate --format json` runs JSON scenario documents with
-//! zero format-specific decode code — both parse to the same [`Value`]
+//! `cimloop evaluate` runs `.json` scenario documents with zero
+//! format-specific decode code — both parse to the same [`Value`]
 //! model and flow through [`crate::ScenarioDoc::from_value`].
 //!
 //! Raw scalar tokens are preserved in both directions so that
