@@ -25,26 +25,31 @@ fn pmf_operations(c: &mut Criterion) {
             |b, pmf| b.iter(|| black_box(pmf.coarsen(64))),
         );
     }
-    // The column sums fig02b spends its time in: macro_c's 4-bit-DAC slice
-    // product (ResNet18 layer2.0.conv2), coarsened to ~480 non-integer
-    // centroids as `ValueStats::compute` does, over 128 and 512 rows.
-    let stats = ValueStats::compute(
-        &models::resnet18().layers()[6],
-        &macro_c().with_dac_resolution(4).representation(),
-        1,
-    )
-    .expect("value stats");
-    let product = stats
-        .input_slice()
-        .pmf()
-        .product(stats.weight_slice().pmf())
-        .coarsen(512);
-    for rows in [128u64, 512] {
-        group.bench_with_input(
-            BenchmarkId::new("convolve_n_macro_c_dac4", rows),
-            &product,
-            |b, pmf| b.iter(|| black_box(pmf.convolve_n(black_box(rows), 512))),
-        );
+    // The column sums fig02b spends its time in: macro_c's slice product
+    // on ResNet18 layer2.0.conv2, built as `ValueStats::compute` builds it,
+    // over 128 and 512 rows. With a 4-bit DAC it is coarsened to ~480
+    // non-integer centroids; with a 1-bit DAC it has 256 integer points,
+    // so the first squaring takes `convolve`'s dense step.
+    let net = models::resnet18();
+    for dac in [4u32, 1] {
+        let stats = ValueStats::compute(
+            &net.layers()[6],
+            &macro_c().with_dac_resolution(dac).representation(),
+            1,
+        )
+        .expect("value stats");
+        let product = stats
+            .input_slice()
+            .pmf()
+            .product(stats.weight_slice().pmf())
+            .coarsen(512);
+        for rows in [128u64, 512] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("convolve_n_macro_c_dac{dac}"), rows),
+                &product,
+                |b, pmf| b.iter(|| black_box(pmf.convolve_n(black_box(rows), 512))),
+            );
+        }
     }
     let bytes = Pmf::uniform_ints(0, 255).expect("range");
     group.bench_function("bit_stats_8b", |b| {

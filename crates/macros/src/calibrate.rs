@@ -3,7 +3,7 @@
 //! (the paper §V: "we create memory cell models and calibrate the
 //! area/energy of each component to match published values").
 
-use cimloop_core::CoreError;
+use cimloop_core::{CoreError, EnergyTableCache};
 use cimloop_workload::models;
 
 use crate::reference::Anchor;
@@ -36,13 +36,17 @@ pub fn calibrate(m: &ArrayMacro, anchor: Anchor) -> Result<(f64, f64), CoreError
 
     // TOPS/W ∝ 1/energy and GOPS ∝ 1/latency to first order, but leakage
     // couples energy to latency, so iterate the ratio update to a fixed
-    // point (converges in 2-3 steps).
+    // point (converges in 2-3 steps). Only the scales change between
+    // iterations, so the layer's value statistics (its column sum) are
+    // computed once and shared through the cache.
+    let cache = EnergyTableCache::new();
     let mut energy_scale = 1.0;
     let mut latency_scale = 1.0;
     for _ in 0..4 {
         let candidate = raw.clone().with_scales(energy_scale, latency_scale);
         let evaluator = candidate.raw_evaluator()?;
-        let report = evaluator.evaluate_layer(&layer, &candidate.representation())?;
+        let report =
+            evaluator.evaluate_layer_cached(&layer, &candidate.representation(), &cache)?;
         let model_topsw = report.tops_per_watt();
         let model_gops = report.gops();
         if model_topsw <= 0.0 || model_gops <= 0.0 {

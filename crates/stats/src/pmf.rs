@@ -11,6 +11,18 @@ const MERGE_EPS: f64 = 1e-12;
 /// support cap, so model fidelity is unchanged.
 const MAX_PAIRWISE_SIDE: usize = 512;
 
+/// The pair budget `MAX_PAIRWISE_SIDE²`.
+const PAIR_BUDGET: usize = MAX_PAIRWISE_SIDE * MAX_PAIRWISE_SIDE;
+
+/// Bound on the magnitude of every sum [`Pmf::convolve`]'s dense step
+/// takes. Below it `from_weights`' merge tolerance, `|last| · MERGE_EPS`,
+/// is under 1, so it never merges two distinct integers.
+const DENSE_SUM_LIMIT: f64 = 1e12;
+
+/// The dense step's array may be at most this many times as long as the
+/// pair count: sparser supports keep the pair vector.
+const DENSE_SPAN_PER_PAIR: usize = 2;
+
 /// A discrete probability distribution over `f64` values.
 ///
 /// The support is kept sorted by value, with duplicate values merged and
@@ -196,17 +208,33 @@ impl Pmf {
     /// Transforms each support value through `f`, merging collisions.
     ///
     /// The result is a valid distribution of `f(X)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` maps a support value to a non-finite value.
     pub fn map(&self, mut f: impl FnMut(f64) -> f64) -> Self {
+        // The weights are this pmf's probabilities, so a non-finite
+        // mapped value is the only input `from_weights` can reject.
         Self::from_weights(self.iter().map(|(v, p)| (f(v), p)))
-            .expect("mapping a valid pmf yields a valid pmf")
+            .expect("a mapped support value is not finite")
     }
 
     /// Distribution of `X + c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some `v + c` is not finite (`c` non-finite, or the sum
+    /// overflows).
     pub fn shift(&self, c: f64) -> Self {
         self.map(|v| v + c)
     }
 
     /// Distribution of `k * X`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some `k * v` is not finite (`k` non-finite, including
+    /// `0 · ∞`, or the product overflows).
     pub fn scale(&self, k: f64) -> Self {
         self.map(|v| k * v)
     }
@@ -217,17 +245,16 @@ impl Pmf {
     /// mean exactly, so means of sums and of independent products are
     /// unaffected.
     fn pairwise(&self, other: &Pmf, mut op: impl FnMut(f64, f64) -> f64) -> Pmf {
-        const BUDGET: usize = MAX_PAIRWISE_SIDE * MAX_PAIRWISE_SIDE;
         let capped_a;
         let capped_b;
-        let (a, b) = if self.len().saturating_mul(other.len()) > BUDGET {
+        let (a, b) = if self.len().saturating_mul(other.len()) > PAIR_BUDGET {
             // Coarsen each side only as far as the budget demands: against
-            // a small partner, a large operand keeps `BUDGET / partner`
+            // a small partner, a large operand keeps `PAIR_BUDGET / partner`
             // points (never fewer than MAX_PAIRWISE_SIDE), so asymmetric
             // cases lose no more precision than the memory cap requires.
-            let cap_a = (BUDGET / other.len().max(1)).max(MAX_PAIRWISE_SIDE);
+            let cap_a = (PAIR_BUDGET / other.len().max(1)).max(MAX_PAIRWISE_SIDE);
             capped_a = self.coarsen(cap_a);
-            let cap_b = (BUDGET / capped_a.len().max(1)).max(MAX_PAIRWISE_SIDE);
+            let cap_b = (PAIR_BUDGET / capped_a.len().max(1)).max(MAX_PAIRWISE_SIDE);
             capped_b = other.coarsen(cap_b);
             (&capped_a, &capped_b)
         } else {
@@ -249,8 +276,74 @@ impl Pmf {
     /// convolutions. Operands so large that their pair count would exceed
     /// an internal ~262k-pair budget are coarsened (mean-preserving) just
     /// far enough to fit it first.
+    ///
+    /// Within the budget, the result is the distribution `from_weights`
+    /// builds from every pair `(v1 + v2, p1 · p2)`, bit for bit. When both
+    /// supports are integers (none of them `-0.0`), every sum lies below
+    /// 1e12 in magnitude and the sums span at most twice as many integers
+    /// as there are pairs, it adds each pair's probability into a dense
+    /// array indexed by the sum instead of sorting a pair vector.
     pub fn convolve(&self, other: &Pmf) -> Self {
-        self.pairwise(other, |v1, v2| v1 + v2)
+        self.convolve_dense(other)
+            .unwrap_or_else(|| self.pairwise(other, |v1, v2| v1 + v2))
+    }
+
+    /// [`Self::convolve`]'s dense step, or `None` where it does not apply.
+    ///
+    /// On integer sums below [`DENSE_SUM_LIMIT`], `from_weights` merges
+    /// exactly the pairs with equal sums, adding their `w / total` in the
+    /// stable sort's order, which is pair order. This adds the same terms
+    /// in the same order into one slot per integer, starting from `-0.0`,
+    /// the exact additive identity (`-0.0 + x` is `x` bit for bit, so the
+    /// first addition stands for `from_weights`' push). A `-0.0` support
+    /// value would make `-0.0` and `+0.0` sums, which `from_weights` sorts
+    /// apart before merging them, so it keeps the pair vector.
+    fn convolve_dense(&self, other: &Pmf) -> Option<Pmf> {
+        let pairs = self.len().saturating_mul(other.len());
+        let (lo, hi) = (self.min() + other.min(), self.max() + other.max());
+        let integers = |pmf: &Pmf| {
+            pmf.values
+                .iter()
+                .all(|&v| v.fract() == 0.0 && v.to_bits() != (-0.0f64).to_bits())
+        };
+        if pairs > PAIR_BUDGET
+            || lo <= -DENSE_SUM_LIMIT
+            || hi >= DENSE_SUM_LIMIT
+            || hi - lo + 1.0 > (DENSE_SPAN_PER_PAIR * pairs) as f64
+            || !integers(self)
+            || !integers(other)
+        {
+            return None;
+        }
+        // Every sum is an integer of magnitude below 1e12, so `v1 + v2`
+        // and `v1 + v2 - lo` are exact.
+        let span = (hi - lo) as usize + 1;
+        // `from_weights`' total: the pair weights summed in pair order.
+        let mut total = 0.0;
+        for &p1 in &self.probs {
+            for &p2 in &other.probs {
+                total += p1 * p2;
+            }
+        }
+        let mut probs = vec![-0.0; span];
+        let mut hit = vec![false; span];
+        for (v1, p1) in self.iter() {
+            for (v2, p2) in other.iter() {
+                let i = (v1 + v2 - lo) as usize;
+                probs[i] += p1 * p2 / total;
+                hit[i] = true;
+            }
+        }
+        // A slot any pair landed in is a support point, even at zero mass,
+        // as `from_weights` keeps it.
+        let (values, probs) = hit
+            .iter()
+            .zip(probs)
+            .enumerate()
+            .filter(|&(_, (&hit, _))| hit)
+            .map(|(i, (_, p))| (lo + i as f64, p))
+            .unzip();
+        Some(Pmf { values, probs })
     }
 
     /// Distribution of the sum of `n` independent draws from this
@@ -261,11 +354,16 @@ impl Pmf {
     /// `max_support` points, binned as [`Self::coarsen`] bins them, so
     /// the mean is exact up to rounding. A step whose operands `a` and `b`
     /// satisfy `a.len() + b.len() - 1 <= max_support` is
-    /// [`Self::convolve`] then [`Self::coarsen`]. Any other step is certain
-    /// to exceed the cap (a sum of two sets has at least `|A| + |B| - 1`
-    /// values), so it bins each of its `a.len() * b.len()` pairs straight
-    /// into `coarsen`'s bins over `[a.min() + b.min(), a.max() + b.max()]`,
-    /// with no pair vector and no sort.
+    /// [`Self::convolve`] (its dense step on integer supports) then
+    /// [`Self::coarsen`]. Any other step is certain to exceed the cap (a
+    /// sum of two sets has at least `|A| + |B| - 1` values), so it bins
+    /// each of its `a.len() * b.len()` pairs straight into `coarsen`'s
+    /// bins over `[a.min() + b.min(), a.max() + b.max()]`, with no pair
+    /// vector and no sort. It works one row of `a` at a time: first the
+    /// bin and contribution of each of the row's pairs, then the additions
+    /// into the bins, in pair order. Every bin sees the same additions in
+    /// the same order as binning pair by pair, so the result is the same
+    /// to the bit.
     ///
     /// With `max_support == 0` intermediate supports are not capped, but
     /// each step is still a [`Self::convolve`], which coarsens operands
@@ -279,9 +377,7 @@ impl Pmf {
             } else {
                 let mut bins = Bins::new(a.min() + b.min(), a.max() + b.max(), max_support);
                 for (v1, p1) in a.iter() {
-                    for (v2, p2) in b.iter() {
-                        bins.add(v1 + v2, p1 * p2);
-                    }
+                    bins.add_row(v1, p1, b);
                 }
                 bins.into_pmf()
             }
@@ -346,9 +442,9 @@ impl Pmf {
             return self.clone();
         }
         let mut bins = Bins::new(self.min(), self.max(), n);
-        for (v, p) in self.iter() {
-            bins.add(v, p);
-        }
+        // `-0.0 + v` is `v` and `1.0 · p` is `p`, bit for bit: the row's
+        // pairs are this support's points.
+        bins.add_row(-0.0, 1.0, self);
         bins.into_pmf()
     }
 
@@ -418,34 +514,70 @@ impl Pmf {
 struct Bins {
     lo: f64,
     width: f64,
-    mass: Vec<f64>,
-    moment: Vec<f64>,
+    /// The last bin's index, as every quotient is clamped to it; 0 when
+    /// `width` is not finite and positive.
+    last: f64,
+    /// `(mass, first moment)` per bin.
+    bins: Vec<(f64, f64)>,
+    /// [`Self::add_row`]'s scratch: each pair's bin and `(p, p · v)`.
+    row_bins: Vec<usize>,
+    row_terms: Vec<(f64, f64)>,
 }
 
 impl Bins {
     /// `n > 0` empty bins spanning `[lo, hi]`.
     fn new(lo: f64, hi: f64, n: usize) -> Self {
+        // `truncate` is exact up to 2^51; no pmf that fits in memory has
+        // that many points to bin.
+        assert!(
+            n as u64 <= 1 << 51,
+            "{n} bins are more than the binning supports"
+        );
+        let width = (hi - lo) / n as f64;
+        // `width` can overflow to +inf for supports spanning nearly the
+        // whole f64 range (hi − lo > f64::MAX); everything then lands in
+        // bin 0 rather than indexing through a NaN (`NaN.min(0.0)` is 0).
+        let last = if width.is_finite() && width > 0.0 {
+            (n - 1) as f64
+        } else {
+            0.0
+        };
         Bins {
             lo,
-            width: (hi - lo) / n as f64,
-            mass: vec![0.0; n],
-            moment: vec![0.0; n],
+            width,
+            last,
+            bins: vec![(0.0, 0.0); n],
+            row_bins: Vec::new(),
+            row_terms: Vec::new(),
         }
     }
 
-    /// Adds mass `p` at value `v` (which lies in `[lo, hi]`).
-    fn add(&mut self, v: f64, p: f64) {
-        // `width` can overflow to +inf for supports spanning nearly the
-        // whole f64 range (hi − lo > f64::MAX); everything then lands in
-        // bin 0 rather than indexing through a NaN.
-        let idx = if self.width.is_finite() && self.width > 0.0 {
-            ((v - self.lo) / self.width) as usize
-        } else {
-            0
-        };
-        let idx = idx.min(self.mass.len() - 1);
-        self.mass[idx] += p;
-        self.moment[idx] += p * v;
+    /// Adds mass `p1 · p` at value `v1 + v` for each point `(v, p)` of
+    /// `row`, in support order. Every `v1 + v` lies in `[lo, hi]`, so a
+    /// point's bin is `(v1 + v - lo) / width`, truncated and clamped to
+    /// the last bin.
+    fn add_row(&mut self, v1: f64, p1: f64, row: &Pmf) {
+        let (lo, width, last) = (self.lo, self.width, self.last);
+        self.row_bins.resize(row.len(), 0);
+        self.row_terms.resize(row.len(), (0.0, 0.0));
+        // No pair's bin or terms depend on another's, so this pass
+        // vectorizes; the additions below keep pair order.
+        for (((bin, terms), &v2), &p2) in self
+            .row_bins
+            .iter_mut()
+            .zip(&mut self.row_terms)
+            .zip(&row.values)
+            .zip(&row.probs)
+        {
+            let (v, p) = (v1 + v2, p1 * p2);
+            *bin = truncate(((v - lo) / width).min(last));
+            *terms = (p, p * v);
+        }
+        for (&bin, &(p, pv)) in self.row_bins.iter().zip(&self.row_terms) {
+            let (mass, moment) = &mut self.bins[bin];
+            *mass += p;
+            *moment += pv;
+        }
     }
 
     /// The distribution of the non-empty bins' centroids.
@@ -456,13 +588,24 @@ impl Bins {
         // re-validates finiteness. Mass is conserved: every added point's
         // probability lands in exactly one bin.
         let pairs = self
-            .mass
-            .iter()
-            .zip(self.moment.iter())
-            .filter(|&(&m, _)| m > 0.0)
-            .map(|(&m, &mo)| (mo / m, m));
+            .bins
+            .into_iter()
+            .filter(|&(m, _)| m > 0.0)
+            .map(|(m, mo)| (mo / m, m));
         Pmf::from_weights(pairs).expect("binning a valid pmf yields a valid pmf")
     }
+}
+
+/// `q` rounded toward zero, for `0 <= q <= 2^51`: what `q as usize` gives
+/// there, in float and integer arithmetic that vectorizes (the saturating
+/// cast does not). Adding 2^52 rounds `q` to the nearest integer and
+/// leaves that integer in the low bits, where one unit of the last place
+/// is exactly 1; if that rounded up, the truncation is one less.
+fn truncate(q: f64) -> usize {
+    const SHIFT: f64 = 4_503_599_627_370_496.0; // 2^52
+    let shifted = q + SHIFT;
+    let rounded_up = shifted - SHIFT > q;
+    (shifted.to_bits() - SHIFT.to_bits()) as usize - usize::from(rounded_up)
 }
 
 #[cfg(test)]
@@ -645,6 +788,71 @@ mod tests {
         assert!(close(pmf.scale(2.0).mean(), pmf.mean() * 2.0));
         assert!(close(pmf.clamp(1.0, 2.0).min(), 1.0));
         assert!(close(pmf.scale(0.4).round().max(), 1.0));
+    }
+
+    #[test]
+    fn dense_convolve_takes_only_exact_integer_cases() {
+        let ints = |lo, hi| Pmf::uniform_ints(lo, hi).unwrap();
+        // 256 integers, 65,536 pairs, as in fig02b's 1-bit-DAC squaring.
+        assert!(ints(-128, 127).convolve_dense(&ints(-128, 127)).is_some());
+        assert!(ints(0, 1).convolve_dense(&ints(0, 1)).is_some());
+        // Sums of magnitude 1e12 - 1 take the dense step; 1e12 does not.
+        let half_limit = 500_000_000_000;
+        let (top, below) = (
+            ints(half_limit - 4, half_limit),
+            ints(half_limit - 4, half_limit - 1),
+        );
+        assert!(top.convolve_dense(&below).is_some());
+        assert!(top.convolve_dense(&top).is_none());
+        let (bottom, above) = (
+            ints(-half_limit, 4 - half_limit),
+            ints(1 - half_limit, 4 - half_limit),
+        );
+        assert!(bottom.convolve_dense(&above).is_some());
+        assert!(bottom.convolve_dense(&bottom).is_none());
+        // A non-integer, a `-0.0` value, and a span over twice the pairs.
+        let half = Pmf::uniform([0.0, 0.5]).unwrap();
+        assert!(half.convolve_dense(&ints(0, 3)).is_none());
+        let negative_zero = Pmf::uniform([-0.0, 1.0]).unwrap();
+        assert!(negative_zero.convolve_dense(&ints(0, 3)).is_none());
+        let sparse = Pmf::uniform([0.0, 8.0]).unwrap();
+        assert!(sparse.convolve_dense(&ints(0, 1)).is_none());
+        let over_budget = ints(0, MAX_PAIRWISE_SIDE as i64);
+        assert!(over_budget.convolve_dense(&over_budget).is_none());
+    }
+
+    #[test]
+    fn truncate_is_the_saturating_cast_on_its_range() {
+        let top = (1u64 << 51) as f64;
+        let mut cases = vec![0.0, -0.0, 0.5, 1.5, 2.5, 3.5, top, top - 0.5, top - 1.0];
+        for k in [1.0f64, 2.0, 511.0, 4096.0, 1e9, 1e15] {
+            let (below, above) = (
+                f64::from_bits(k.to_bits() - 1),
+                f64::from_bits(k.to_bits() + 1),
+            );
+            cases.extend([k, below, above, k - 0.5, k + 0.5]);
+        }
+        for q in cases {
+            assert_eq!(truncate(q), q as usize, "{q:e}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a mapped support value is not finite")]
+    fn scale_by_infinity_panics_naming_the_cause() {
+        let _ = Pmf::uniform_ints(0, 3).unwrap().scale(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "a mapped support value is not finite")]
+    fn shift_by_infinity_panics_naming_the_cause() {
+        let _ = Pmf::uniform_ints(0, 3).unwrap().shift(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "a mapped support value is not finite")]
+    fn map_to_negative_infinity_panics_naming_the_cause() {
+        let _ = Pmf::uniform_ints(0, 3).unwrap().map(|_| f64::NEG_INFINITY);
     }
 
     #[test]

@@ -33,6 +33,91 @@ fn reference_convolve_n(pmf: &Pmf, n: u64, max_support: usize) -> Pmf {
     result
 }
 
+/// `Pmf::convolve` through a pair vector: `from_weights` over every pair
+/// `(v1 + v2, p1 · p2)`, row by row.
+fn pair_vector_convolve(a: &Pmf, b: &Pmf) -> Pmf {
+    Pmf::from_weights(
+        a.iter()
+            .flat_map(|(v1, p1)| b.iter().map(move |(v2, p2)| (v1 + v2, p1 * p2))),
+    )
+    .expect("valid operands")
+}
+
+/// Every support value and probability of `pmf`, as bits.
+fn bits(pmf: &Pmf) -> Vec<(u64, u64)> {
+    pmf.iter()
+        .map(|(v, p)| (v.to_bits(), p.to_bits()))
+        .collect()
+}
+
+/// Integer supports at the edges of `convolve`'s dense step, drawn in
+/// pairs from one region: values climb from near 0, climb from near
+/// −5e11, or fall from near +5e11, so the pair's sums reach either side
+/// of the 1e12 limit where `from_weights` starts merging neighbouring
+/// integers.
+fn arb_int_pmfs() -> impl Strategy<Value = (Pmf, Pmf)> {
+    prop_oneof![
+        Just((0i64, 1i64)),
+        Just((-500_000_000_000, 1)),
+        Just((500_000_000_000, -1)),
+    ]
+    .prop_flat_map(|(anchor, direction)| {
+        (
+            arb_int_pmf(anchor, direction),
+            arb_int_pmf(anchor, direction),
+        )
+    })
+}
+
+/// 1 to 40 integers, starting within 8 of `anchor` and moving in
+/// `direction`. A quarter of the supports have gaps of up to 999, mostly
+/// too sparse for the dense step. Weights include 0 (zero-mass points) and `-0.0`, which
+/// `from_weights` accepts, and a value of 0 may be `-0.0`.
+fn arb_int_pmf(anchor: i64, direction: i64) -> impl Strategy<Value = Pmf> {
+    (
+        -8i64..8,
+        1u32..100,
+        prop_oneof![Just(3i64), Just(3), Just(3), Just(1000)],
+        prop::collection::vec((0i64..1000, 0u32..32), 0..40),
+        any::<bool>(),
+    )
+        .prop_map(
+            move |(offset, first_weight, gap_bound, rest, negative_zero)| {
+                let mut value = anchor + offset;
+                let mut points = vec![(value, f64::from(first_weight))];
+                for (gap, weight) in rest {
+                    value += direction * (gap % gap_bound);
+                    let weight = match weight {
+                        0 => 0.0,
+                        1 => -0.0,
+                        w => f64::from(w),
+                    };
+                    points.push((value, weight));
+                }
+                Pmf::from_weights(points.into_iter().map(|(v, w)| {
+                    let v = if v == 0 && negative_zero {
+                        -0.0
+                    } else {
+                        v as f64
+                    };
+                    (v, w)
+                }))
+                .expect("a positive first weight")
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn convolve_on_integer_supports_is_the_pair_vector_bit_for_bit(
+        (a, b) in arb_int_pmfs(),
+    ) {
+        prop_assert_eq!(bits(&a.convolve(&b)), bits(&pair_vector_convolve(&a, &b)));
+    }
+}
+
 proptest! {
     #[test]
     fn probabilities_sum_to_one(pmf in arb_pmf()) {

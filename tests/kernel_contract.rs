@@ -4,6 +4,12 @@
 //! instead of materializing, sorting and then coarsening them. This pins
 //! it against that older kernel, kept below as the reference, on the
 //! slice-product distributions the pipeline really convolves.
+//!
+//! It also pins the kernel's bits. The dense exact step on integer
+//! supports and the row-at-a-time binning must reproduce, to the bit,
+//! the per-pair kernel kept below as the second reference: every exact
+//! step a pair vector through `from_weights`, every capped step binned
+//! pair by pair.
 
 use cimloop::core::{reduction_rows_of, ValueStats};
 use cimloop::macros::{
@@ -15,23 +21,91 @@ use cimloop::workload::{models, Layer};
 /// The pipeline's column-sum support cap.
 const CAP: usize = 512;
 
-/// `Pmf::convolve_n` before the fused step: every step is a full
-/// `convolve` (pair vector, sort, merge), then `coarsen` to the cap.
-fn reference_convolve_n(pmf: &Pmf, n: u64, max_support: usize) -> Pmf {
-    let cap = |p: Pmf| p.coarsen(max_support);
+/// The sum of `n` draws from `pmf` by binary exponentiation, each
+/// convolution step taken by `step`, as `Pmf::convolve_n` orders them.
+fn convolve_n_by(pmf: &Pmf, n: u64, step: impl Fn(&Pmf, &Pmf) -> Pmf) -> Pmf {
     let mut result = Pmf::delta(0.0).expect("0.0 is finite");
     let mut base = pmf.clone();
     let mut k = n;
     while k > 0 {
         if k & 1 == 1 {
-            result = cap(result.convolve(&base));
+            result = step(&result, &base);
         }
         k >>= 1;
         if k > 0 {
-            base = cap(base.convolve(&base));
+            base = step(&base, &base);
         }
     }
     result
+}
+
+/// `Pmf::convolve_n` before the fused step: every step is a full
+/// `convolve` (the pair vector's distribution), then `coarsen` to the
+/// cap.
+fn reference_convolve_n(pmf: &Pmf, n: u64, max_support: usize) -> Pmf {
+    convolve_n_by(pmf, n, |a, b| a.convolve(b).coarsen(max_support))
+}
+
+/// `n` equal-width bins over `[lo, hi]`, filled pair by pair in the
+/// order given: each pair's bin is `(v - lo) / width`, truncated and
+/// clamped to the last bin (bin 0 if the width is not finite and
+/// positive), and each non-empty bin emits its centroid.
+fn bin_pairs(lo: f64, hi: f64, n: usize, pairs: impl Iterator<Item = (f64, f64)>) -> Pmf {
+    let width = (hi - lo) / n as f64;
+    let mut mass = vec![0.0; n];
+    let mut moment = vec![0.0; n];
+    for (v, p) in pairs {
+        let idx = if width.is_finite() && width > 0.0 {
+            ((v - lo) / width) as usize
+        } else {
+            0
+        };
+        let idx = idx.min(n - 1);
+        mass[idx] += p;
+        moment[idx] += p * v;
+    }
+    let centroids = mass
+        .iter()
+        .zip(&moment)
+        .filter(|&(&m, _)| m > 0.0)
+        .map(|(&m, &mo)| (mo / m, m));
+    Pmf::from_weights(centroids).expect("binned a valid pmf")
+}
+
+/// The pairs `(v1 + v2, p1 · p2)` of `a` and `b`, row by row.
+fn pairs<'a>(a: &'a Pmf, b: &'a Pmf) -> impl Iterator<Item = (f64, f64)> + 'a {
+    a.iter()
+        .flat_map(move |(v1, p1)| b.iter().map(move |(v2, p2)| (v1 + v2, p1 * p2)))
+}
+
+/// `Pmf::convolve_n` with the per-pair kernel: an exact step sorts and
+/// merges the pair vector in `from_weights` and then coarsens pair by
+/// pair; a capped step bins each pair in turn.
+fn per_pair_convolve_n(pmf: &Pmf, n: u64, max_support: usize) -> Pmf {
+    convolve_n_by(pmf, n, |a, b| {
+        if a.len() + b.len() - 1 <= max_support {
+            let sum = Pmf::from_weights(pairs(a, b)).expect("summed valid pmfs");
+            if sum.len() <= max_support {
+                sum
+            } else {
+                bin_pairs(sum.min(), sum.max(), max_support, sum.iter())
+            }
+        } else {
+            bin_pairs(
+                a.min() + b.min(),
+                a.max() + b.max(),
+                max_support,
+                pairs(a, b),
+            )
+        }
+    })
+}
+
+/// Every support value and probability of `pmf`, as bits.
+fn bits(pmf: &Pmf) -> Vec<(u64, u64)> {
+    pmf.iter()
+        .map(|(v, p)| (v.to_bits(), p.to_bits()))
+        .collect()
 }
 
 /// Every preset, plus macro_c as fig02b explores it: 128 and 512 rows,
@@ -77,6 +151,10 @@ fn check(config: &str, m: &ArrayMacro, layer: &Layer) {
         .coarsen(CAP);
     let new = product.convolve_n(rows, CAP);
     assert_eq!(stats.sum(), &new, "{case}: the pipeline runs the kernel");
+    assert!(
+        bits(&new) == bits(&per_pair_convolve_n(&product, rows, CAP)),
+        "{case}: the column sum's bits differ from the per-pair kernel's"
+    );
     let old = reference_convolve_n(&product, rows, CAP);
 
     let mass: f64 = new.probs().iter().sum();
