@@ -26,7 +26,6 @@ use criterion::{
     black_box, criterion_group, criterion_main, entry_mean_ns, record_metric, Criterion,
 };
 
-use cimloop_bench::frozen;
 use cimloop_core::NoiseSpec;
 use cimloop_dse::{
     summarize, AccuracyObjective, DesignReport, DesignSpace, EvalScope, Exploration, Explorer,
@@ -46,8 +45,9 @@ const SIGMAS: u64 = 1200;
 /// The Fig 2 co-design space: direct ADC readout vs Macro C's analog
 /// accumulator × array sizes × DAC resolutions × ADC resolutions.
 fn fig2_design_space() -> DesignSpace {
-    let direct = frozen(&macro_c()).with_output_combine(OutputCombine::None);
-    let accum = frozen(&macro_c()).with_output_combine(OutputCombine::AnalogAccumulator);
+    let frozen = macro_c().frozen().expect("calibration of Macro C");
+    let direct = frozen.clone().with_output_combine(OutputCombine::None);
+    let accum = frozen.with_output_combine(OutputCombine::AnalogAccumulator);
     DesignSpace::new()
         .variant("c-direct", direct)
         .variant("c-accum", accum)

@@ -1,31 +1,22 @@
-//! Shared harness utilities for the experiment binaries in `src/bin`
-//! (one per table/figure of the paper) and the criterion benches.
+//! The experiment harness: result tables and their TSV goldens, the
+//! paper's figures that have no spec ([`figures`], written by the
+//! `figures` binary), and the TSV diff behind golden mismatches.
 
 #![warn(missing_docs)]
+
+pub mod figures;
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use cimloop_core::{CoreError, EnergyTableCache, NoiseSpec};
+use cimloop_core::CoreError;
 use cimloop_dse::{DesignReport, DesignSpace, Explorer};
-use cimloop_macros::{base_macro, ArrayMacro};
-use cimloop_sim::{mc_layer, McConfig};
-use cimloop_workload::{models, Workload};
-
-/// Freezes a macro's calibration: computes the energy/latency scales at the
-/// *published default* configuration once and bakes them in, so design
-/// sweeps explore variations around the calibrated design instead of
-/// re-anchoring every variant to the same headline number (which would
-/// erase the differences under study).
-pub fn frozen(m: &ArrayMacro) -> ArrayMacro {
-    m.frozen()
-        .expect("calibration of the default configuration")
-}
+use cimloop_workload::Workload;
 
 /// A simple experiment table: prints aligned columns to stdout and writes a
-/// TSV copy into `results/` so EXPERIMENTS.md can reference stable outputs.
+/// TSV copy into `results/`, where the committed copies are goldens.
 #[derive(Debug)]
 pub struct ExperimentTable {
     name: String,
@@ -186,85 +177,10 @@ pub fn diff_tsv(old: &str, new: &str) -> String {
     cimloop_spec::render_diff(&cimloop_spec::diff(&tsv_value(old), &tsv_value(new)))
 }
 
-/// The cell-variation sigmas of the `fig_mc_accuracy` validation grid,
-/// the same levels `examples/specs/fig09_noise.yaml` sweeps
-/// (0 = ideal programming; 0.20 = poorly-programmed NVM).
-pub const NOISE_VARIATIONS: [f64; 4] = [0.0, 0.05, 0.10, 0.20];
-
-/// The ADC resolutions of the `fig_mc_accuracy` validation grid (a
-/// subset of the `adc_bits` axis of `examples/specs/fig09_noise.yaml`:
-/// the MC engine resamples every cell, so the grid trades breadth for
-/// trials).
-pub const MC_ACCURACY_ADC_BITS: [u32; 2] = [8, 6];
-
-/// Monte-Carlo trials per `fig_mc_accuracy` grid cell — enough for
-/// ~0.1 dB standard error on the empirical SNR, and fixed so the golden
-/// is byte-stable.
-pub const MC_ACCURACY_TRIALS: u64 = 16_384;
-
-/// One cell of the `fig_mc_accuracy` validation grid: the analytic SNR
-/// prediction next to the Monte-Carlo empirical measurement of the same
-/// macro configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct McAccuracyRow {
-    /// Relative cell programming-variation sigma.
-    pub variation: f64,
-    /// Output ADC resolution, bits.
-    pub adc_bits: u32,
-    /// The analytic (`NoiseAnalysis`) SNR prediction, dB.
-    pub analytic_snr_db: f64,
-    /// The sampled (noise-injection) empirical SNR, dB.
-    pub mc_snr_db: f64,
-    /// `|analytic − empirical|`, dB.
-    pub deviation_db: f64,
-    /// Fraction of sampled readouts that survive the ADC bit-exactly.
-    pub task_accuracy: f64,
-}
-
-/// The `fig_mc_accuracy` validation grid: the analytic accuracy chain
-/// cross-checked by repeated noise-injected inference on the 64×64 ReRAM
-/// base macro driving a matched matrix-vector layer. The Monte-Carlo
-/// side runs [`MC_ACCURACY_TRIALS`] trials at the pinned default seed,
-/// so the grid — like the analytic side — is deterministic and
-/// `results/fig_mc_accuracy.tsv` is a golden. The agreement contract
-/// (tolerance, seeding) is documented in `docs/accuracy.md`.
-pub fn mc_accuracy_rows() -> Vec<McAccuracyRow> {
-    let cache = EnergyTableCache::new();
-    let cfg = McConfig::new(MC_ACCURACY_TRIALS);
-    let mut rows = Vec::new();
-    for &variation in &NOISE_VARIATIONS {
-        for &adc_bits in &MC_ACCURACY_ADC_BITS {
-            let m = base_macro()
-                .uncalibrated()
-                .with_array(64, 64)
-                .with_adc_bits(adc_bits)
-                .with_noise(NoiseSpec::new().with_cell_variation(variation));
-            let evaluator = m.evaluator().expect("evaluator");
-            let layer = models::mvm(m.rows(), m.cols()).layers()[0].clone();
-            let report = evaluator
-                .evaluate_layer_cached(&layer, &m.representation(), &cache)
-                .expect("evaluation");
-            let analytic = report
-                .noise()
-                .expect("analog readout always carries a noise report");
-            let empirical = mc_layer(&m, &layer, &cfg).expect("monte-carlo run");
-            rows.push(McAccuracyRow {
-                variation,
-                adc_bits,
-                analytic_snr_db: analytic.snr_db,
-                mc_snr_db: empirical.snr_db,
-                deviation_db: (analytic.snr_db - empirical.snr_db).abs(),
-                task_accuracy: empirical.task_accuracy,
-            });
-        }
-    }
-    rows
-}
-
 /// Explores `space` on `workload` and returns *every* evaluated design's
-/// report in id order (not just the Pareto front) — the shape the figure
-/// binaries need for their row-per-design tables. Small grids only; big
-/// sweeps should stream through [`Explorer::explore`] instead.
+/// report in id order (not just the Pareto front) — the shape of a
+/// row-per-design table. Small grids only; big sweeps should stream
+/// through [`Explorer::explore`] instead.
 ///
 /// # Errors
 ///

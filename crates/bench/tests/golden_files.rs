@@ -1,46 +1,54 @@
 //! Golden regression guard: the committed result TSVs must be byte-for-
-//! byte what this PR's code produces with the noise subsystem compiled in
-//! but disabled — the new code path cannot perturb existing results.
+//! byte what the code produces.
 //!
 //! Two layers of defense share this job: the `golden-results` CI job
 //! *regenerates* every golden (the spec'd ones with `cimloop evaluate
-//! examples/specs/*.yaml`, the rest with their release bench binaries)
-//! and diffs it against the committed file, while this test pins the
-//! committed bytes themselves (FNV-1a hash + length), so an accidental
-//! local regeneration under different code is caught by plain
+//! examples/specs/*.yaml`, the rest with the argument-free `figures`
+//! binary) and diffs it against the committed file, while this test pins
+//! the committed bytes themselves (FNV-1a hash + length), so an
+//! accidental local regeneration under different code is caught by plain
 //! `cargo test` without paying for the regeneration.
 //!
 //! If a hash mismatch is *intended* (a deliberate modeling change),
-//! regenerate the golden with its spec or binary, update the constants
-//! here, and say why in the commit message.
+//! regenerate the golden with its spec or the `figures` binary, update
+//! the constants here, and say why in the commit message.
 
 use std::fs;
 use std::path::PathBuf;
 
 /// `(file, fnv1a64 hash, length in bytes)` for every enforced golden.
 ///
-/// `network_sweep.tsv` pins the tiny model's deterministic engine record,
-/// which the `network_sweep` binary writes. Seven goldens come from the
-/// `cimloop` CLI: `scenario_custom.tsv` from
+/// Seven goldens come from the `cimloop` CLI: `scenario_custom.tsv` from
 /// `examples/specs/custom_macro.yaml`, and `dse_accuracy`, `dse_grid`
 /// (the shard/merge smoke's single-process reference), `fig02b`,
 /// `fig09_noise`, `fig12`, and `table02` from the spec of the same name.
-const GOLDENS: [(&str, u64, usize); 15] = [
+/// The `figures` binary writes the other sixteen, one per function of
+/// `cimloop_bench::figures`; `network_sweep.tsv` is the tiny network's
+/// deterministic engine record.
+const GOLDENS: [(&str, u64, usize); 23] = [
     ("dse_accuracy.tsv", 0xfe46868d9c67f4fc, 227),
     ("dse_grid.tsv", 0xee3927f97530d0a3, 721),
     ("fig02a.tsv", 0x95c47b92e420049d, 260),
     ("fig02b.tsv", 0x410b189704181cef, 224),
+    ("fig04.tsv", 0x8e78e4a8747f5948, 232),
+    ("fig04_per_layer.tsv", 0x6977cfbb668f3017, 368),
     ("fig06.tsv", 0x5f7a100f1ba1278c, 695),
     ("fig07.tsv", 0xc7200b0c40e38654, 427),
     ("fig08.tsv", 0xcfa5502dc4d1f92f, 338),
+    ("fig09.tsv", 0xb019b9a051c8e30a, 502),
     ("fig09_noise.tsv", 0xa8673e0e8db5a8f1, 440),
-    ("fig10.tsv", 0x31e0921dfe803ecd, 491),
+    ("fig10.tsv", 0xc7b74b1575e4b140, 490),
     ("fig11.tsv", 0xeec6f95b838a15bb, 382),
     ("fig12.tsv", 0x0578d35b7a2801e7, 841),
+    ("fig13.tsv", 0x523470f59bfe3b37, 285),
+    ("fig14.tsv", 0x1b8f86b915faef98, 1108),
+    ("fig15.tsv", 0x6fa9b067672ec7e4, 523),
+    ("fig16.tsv", 0xba31acc713e6d731, 771),
     ("fig_mc_accuracy.tsv", 0x228b919f8c7108ef, 350),
     ("network_sweep.tsv", 0x11e5fa94ca0ef252, 88),
     ("scenario_custom.tsv", 0x5a7cbbe24c63efdd, 195),
     ("table02.tsv", 0x43f49c10dce83097, 343),
+    ("table03.tsv", 0x491da45eba33e8f6, 235),
 ];
 
 /// FNV-1a, 64-bit: stable across platforms and Rust versions (unlike

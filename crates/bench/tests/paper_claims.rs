@@ -1,7 +1,7 @@
 //! The paper's qualitative claims, asserted on the committed goldens.
 //! `golden_files.rs` pins those bytes, and `cimloop evaluate
-//! examples/specs/<name>.yaml` regenerates them, so these checks read
-//! the TSVs instead of re-running the experiments.
+//! examples/specs/<name>.yaml` or the `figures` binary regenerates them,
+//! so these checks read the TSVs instead of re-running the experiments.
 //!
 //! - `fig09_noise`: accuracy degrades monotonically as ADC resolution
 //!   drops, and degrades faster (further below the noise-free curve) at
@@ -10,6 +10,23 @@
 //!   output, because its 3×3 kernels map at high utilization.
 //! - `fig02b`: co-optimizing circuits and architecture ties optimizing
 //!   the architecture alone within 2%, and beats both 128×128 designs.
+//! - `fig02a`: the system-optimal array is larger than the macro-optimal
+//!   one.
+//! - `fig04`: data-value dependence swings DAC energy by more than 2.5×,
+//!   and each encoding is the better one for some layer.
+//! - `fig06`: the fixed-energy model's average error is more than 3× the
+//!   statistical model's.
+//! - `fig08`: efficiency falls, and throughput never rises, as inputs
+//!   widen on a bit-serial macro.
+//! - `fig09`: Macro C's DAC share of energy grows with input bits.
+//! - `fig11`: Macro B's energy per MAC rises with the average MAC value.
+//! - `fig13`: the 8-operand analog adder is never the densest.
+//! - `fig14`: a max-utilization MVM is cheapest per MAC on the largest
+//!   array, a small-tensor network on the smallest.
+//! - `fig16`: the lowest-energy macro depends on the operand widths: the
+//!   1-bit Macro A wins at 1b/1b, a multi-bit macro at 8b/8b.
+//! - `fig_mc_accuracy`: the sampled engine agrees with the analytic SNR
+//!   within the documented 0.5 dB (docs/accuracy.md).
 
 use cimloop_spec::Value;
 
@@ -35,6 +52,14 @@ fn num(row: &Value, column: &str) -> f64 {
     let cell = text(row, column);
     cell.parse()
         .unwrap_or_else(|e| panic!("`{column}` cell {cell:?} is not a number: {e}"))
+}
+
+/// A percentage cell (`12.3%`) as a number of percent.
+fn percent(row: &Value, column: &str) -> f64 {
+    let cell = text(row, column);
+    cell.strip_suffix('%')
+        .and_then(|number| number.parse().ok())
+        .unwrap_or_else(|| panic!("`{column}` cell {cell:?} is not a percentage"))
 }
 
 /// One cell of the `fig09_noise` grid.
@@ -186,6 +211,186 @@ fn co_optimization_ties_architecture_and_beats_both_128x128_designs() {
         assert!(
             co < energy(label),
             "Co-Optimize ({co:.3e} J) is not below `{label}`"
+        );
+    }
+}
+
+#[test]
+fn the_system_optimal_array_is_larger_than_the_macro_optimal_one() {
+    let rows = golden_rows("fig02a.tsv");
+    // The array side of the row with the least energy in `column`.
+    let optimal = |column: &str| -> u64 {
+        let row = rows
+            .iter()
+            .min_by(|a, b| num(a, column).total_cmp(&num(b, column)))
+            .expect("fig02a has rows");
+        let array = text(row, "array");
+        let (side, _) = array.split_once('x').expect("arrays read NxN");
+        side.parse().expect("array sides are integers")
+    };
+    let (macro_best, system_best) = (optimal("macro J"), optimal("system J"));
+    assert!(
+        system_best > macro_best,
+        "system-optimal {system_best}x{system_best} is not larger than \
+         macro-optimal {macro_best}x{macro_best}"
+    );
+}
+
+#[test]
+fn data_values_swing_dac_energy_and_each_encoding_wins_a_layer() {
+    let cells: Vec<f64> = golden_rows("fig04.tsv")
+        .iter()
+        .flat_map(|row| [num(row, "DAC A (norm)"), num(row, "DAC B (norm)")])
+        .collect();
+    let max = cells.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let min = cells.iter().cloned().fold(f64::INFINITY, f64::min);
+    assert!(max / min > 2.5, "DAC energy swings only {:.2}x", max / min);
+    let layers = golden_rows("fig04_per_layer.tsv");
+    for encoding in ["differential", "offset"] {
+        assert!(
+            layers.iter().any(|row| text(row, "best") == encoding),
+            "{encoding} encoding is best for no layer"
+        );
+    }
+}
+
+#[test]
+fn the_fixed_energy_model_is_several_times_less_accurate() {
+    let rows = golden_rows("fig06.tsv");
+    let average = rows
+        .iter()
+        .find(|row| text(row, "layer") == "Average")
+        .expect("fig06 has an Average row");
+    let (statistical, fixed) = (
+        percent(average, "CiMLoop err"),
+        percent(average, "fixed-energy err"),
+    );
+    assert!(
+        fixed > 3.0 * statistical,
+        "fixed-energy average error {fixed}% is not 3x the statistical {statistical}%"
+    );
+}
+
+#[test]
+fn efficiency_falls_and_throughput_never_rises_as_inputs_widen() {
+    let rows = golden_rows("fig08.tsv");
+    for label in ["B", "C"] {
+        let sweep: Vec<&Value> = rows
+            .iter()
+            .filter(|row| text(row, "macro") == label)
+            .collect();
+        assert!(sweep.len() >= 2, "fig08 has no {label} sweep");
+        for pair in sweep.windows(2) {
+            let (narrow, wide) = (pair[0], pair[1]);
+            let bits = text(wide, "input bits");
+            assert!(
+                num(wide, "model TOPS/W") < num(narrow, "model TOPS/W"),
+                "{label}: TOPS/W did not fall at {bits} input bits"
+            );
+            assert!(
+                num(wide, "model GOPS") <= num(narrow, "model GOPS"),
+                "{label}: GOPS rose at {bits} input bits"
+            );
+        }
+    }
+}
+
+#[test]
+fn macro_c_dac_share_grows_with_input_bits() {
+    let rows = golden_rows("fig09.tsv");
+    let dac_share = |bits: u32| {
+        let label = format!("C, {bits}b inputs");
+        rows.iter()
+            .find(|row| text(row, "macro") == label && text(row, "component") == "DAC")
+            .map(|row| num(row, "model %"))
+            .unwrap_or_else(|| panic!("fig09 has no DAC row for `{label}`"))
+    };
+    let shares = [dac_share(1), dac_share(4), dac_share(8)];
+    assert!(
+        shares[0] < shares[1] && shares[1] < shares[2],
+        "Macro C's DAC share at 1b, 4b, 8b inputs does not rise: {shares:?}"
+    );
+}
+
+#[test]
+fn energy_per_mac_rises_with_the_average_mac_value() {
+    let energies: Vec<f64> = golden_rows("fig11.tsv")
+        .iter()
+        .map(|row| num(row, "model fJ/MAC"))
+        .collect();
+    for (i, pair) in energies.windows(2).enumerate() {
+        assert!(
+            pair[1] >= 0.98 * pair[0],
+            "energy per MAC fell from {} to {} fJ at row {}",
+            pair[0],
+            pair[1],
+            i + 2
+        );
+    }
+}
+
+#[test]
+fn the_eight_operand_adder_is_never_the_densest() {
+    for row in golden_rows("fig13.tsv") {
+        assert_ne!(
+            text(&row, "best"),
+            "8-operand",
+            "at {} weight bits",
+            text(&row, "weight bits")
+        );
+    }
+}
+
+#[test]
+fn large_tensors_prefer_the_largest_array_and_small_ones_the_smallest() {
+    let rows = golden_rows("fig14.tsv");
+    let best_array = |workload: &str| {
+        rows.iter()
+            .filter(|row| text(row, "workload") == workload)
+            .min_by(|a, b| num(a, "total pJ/MAC").total_cmp(&num(b, "total pJ/MAC")))
+            .map(|row| text(row, "array"))
+            .unwrap_or_else(|| panic!("fig14 has no `{workload}` rows"))
+    };
+    let arrays: Vec<&str> = rows.iter().map(|row| text(row, "array")).collect();
+    let (smallest, largest) = (arrays[0], arrays[arrays.len() - 1]);
+    assert_eq!(
+        best_array("Max-Utilization"),
+        largest,
+        "a max-utilization MVM should be cheapest per MAC on the largest array"
+    );
+    assert_eq!(
+        best_array("MobileNetV3 (small)"),
+        smallest,
+        "a small-tensor network should be cheapest per MAC on the smallest array"
+    );
+}
+
+#[test]
+fn the_best_macro_depends_on_the_operand_widths() {
+    let rows = golden_rows("fig16.tsv");
+    let best = |bits: &str| {
+        rows.iter()
+            .find(|row| text(row, "weight bits") == bits && text(row, "input bits") == bits)
+            .map(|row| text(row, "best"))
+            .unwrap_or_else(|| panic!("fig16 has no {bits}b/{bits}b row"))
+    };
+    assert_eq!(best("1"), "A", "Macro A should win with 1-bit operands");
+    assert_ne!(
+        best("8"),
+        "A",
+        "a multi-bit macro should win with 8-bit operands"
+    );
+}
+
+#[test]
+fn monte_carlo_agrees_with_the_analytic_snr_within_half_a_db() {
+    for row in golden_rows("fig_mc_accuracy.tsv") {
+        let deviation = num(&row, "deviation (dB)");
+        assert!(
+            deviation <= 0.5,
+            "variation {} at {} ADC bits deviates {deviation} dB",
+            text(&row, "variation"),
+            text(&row, "ADC bits")
         );
     }
 }

@@ -14,33 +14,90 @@ fn mass(pmf: &Pmf) -> f64 {
     pmf.probs().iter().sum()
 }
 
-/// `Pmf::convolve_n` before its capped steps were fused: every step is a
-/// full `convolve`, then `coarsen` to the cap.
-fn reference_convolve_n(pmf: &Pmf, n: u64, max_support: usize) -> Pmf {
-    let cap = |p: Pmf| p.coarsen(max_support);
+/// The sum of `n` draws from `pmf` by binary exponentiation, each
+/// convolution step taken by `step`, as `Pmf::convolve_n` orders them.
+fn convolve_n_by(pmf: &Pmf, n: u64, step: impl Fn(&Pmf, &Pmf) -> Pmf) -> Pmf {
     let mut result = Pmf::delta(0.0).expect("0.0 is finite");
     let mut base = pmf.clone();
     let mut k = n;
     while k > 0 {
         if k & 1 == 1 {
-            result = cap(result.convolve(&base));
+            result = step(&result, &base);
         }
         k >>= 1;
         if k > 0 {
-            base = cap(base.convolve(&base));
+            base = step(&base, &base);
         }
     }
     result
 }
 
+/// `Pmf::convolve_n` before its capped steps were fused: every step is a
+/// full `convolve`, then `coarsen` to the cap.
+fn reference_convolve_n(pmf: &Pmf, n: u64, max_support: usize) -> Pmf {
+    convolve_n_by(pmf, n, |a, b| a.convolve(b).coarsen(max_support))
+}
+
+/// The pairs `(v1 + v2, p1 · p2)` of `a` and `b`, row by row.
+fn pairs<'a>(a: &'a Pmf, b: &'a Pmf) -> impl Iterator<Item = (f64, f64)> + 'a {
+    a.iter()
+        .flat_map(move |(v1, p1)| b.iter().map(move |(v2, p2)| (v1 + v2, p1 * p2)))
+}
+
+/// `n` equal-width bins over `[lo, hi]`, filled pair by pair in the
+/// order given: a pair's bin is `(v - lo) / width`, truncated and
+/// clamped to the last bin (bin 0 if the width is not finite and
+/// positive), and each non-empty bin emits its centroid.
+fn bin_pairs(lo: f64, hi: f64, n: usize, pairs: impl Iterator<Item = (f64, f64)>) -> Pmf {
+    let width = (hi - lo) / n as f64;
+    let mut mass = vec![0.0; n];
+    let mut moment = vec![0.0; n];
+    for (v, p) in pairs {
+        let bin = if width.is_finite() && width > 0.0 {
+            ((v - lo) / width) as usize
+        } else {
+            0
+        };
+        let bin = bin.min(n - 1);
+        mass[bin] += p;
+        moment[bin] += p * v;
+    }
+    let centroids = mass
+        .iter()
+        .zip(&moment)
+        .filter(|&(&m, _)| m > 0.0)
+        .map(|(&m, &mo)| (mo / m, m));
+    Pmf::from_weights(centroids).expect("binned a valid pmf")
+}
+
+/// `Pmf::convolve_n` with the per-pair kernel, independent of the
+/// library's binning: an exact step sorts and merges the pair vector in
+/// `from_weights`, then bins the merged points one by one if they exceed
+/// the cap; a capped step bins each pair in turn.
+fn per_pair_convolve_n(pmf: &Pmf, n: u64, max_support: usize) -> Pmf {
+    convolve_n_by(pmf, n, |a, b| {
+        if a.len() + b.len() - 1 <= max_support {
+            let sum = Pmf::from_weights(pairs(a, b)).expect("summed valid pmfs");
+            if sum.len() <= max_support {
+                sum
+            } else {
+                bin_pairs(sum.min(), sum.max(), max_support, sum.iter())
+            }
+        } else {
+            bin_pairs(
+                a.min() + b.min(),
+                a.max() + b.max(),
+                max_support,
+                pairs(a, b),
+            )
+        }
+    })
+}
+
 /// `Pmf::convolve` through a pair vector: `from_weights` over every pair
 /// `(v1 + v2, p1 · p2)`, row by row.
 fn pair_vector_convolve(a: &Pmf, b: &Pmf) -> Pmf {
-    Pmf::from_weights(
-        a.iter()
-            .flat_map(|(v1, p1)| b.iter().map(move |(v2, p2)| (v1 + v2, p1 * p2))),
-    )
-    .expect("valid operands")
+    Pmf::from_weights(pairs(a, b)).expect("valid operands")
 }
 
 /// Every support value and probability of `pmf`, as bits.
@@ -281,7 +338,21 @@ proptest! {
             weights.iter().enumerate().map(|(i, &w)| (f64::from(offset) + i as f64, f64::from(w))),
         )
         .expect("generated weights are valid");
-        prop_assert_eq!(pmf.convolve_n(n, cap), reference_convolve_n(&pmf, n, cap));
+        prop_assert_eq!(bits(&pmf.convolve_n(n, cap)), bits(&per_pair_convolve_n(&pmf, n, cap)));
+    }
+
+    #[test]
+    fn capped_convolve_n_is_the_per_pair_kernel_bit_for_bit(
+        pmf in arb_pmf(),
+        scale in prop_oneof![Just(1.0), Just(0.37)],
+        cap in 8usize..64,
+        n in 0u64..=64,
+    ) {
+        // Steps whose operand sizes add up past the cap take the fused
+        // capped step, the rest are exact; a fractional scale keeps the
+        // exact steps off the dense integer path.
+        let pmf = pmf.scale(scale);
+        prop_assert_eq!(bits(&pmf.convolve_n(n, cap)), bits(&per_pair_convolve_n(&pmf, n, cap)));
     }
 
     #[test]
