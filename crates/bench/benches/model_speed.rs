@@ -8,9 +8,10 @@ use criterion::{
     criterion_group, criterion_main, entry_mean_ns, record_metric, BenchmarkId, Criterion,
 };
 use std::hint::black_box;
+use std::time::Duration;
 
 use cimloop_bench::figures;
-use cimloop_macros::base_macro;
+use cimloop_macros::{base_macro, macro_a};
 use cimloop_map::Mapper;
 use cimloop_sim::{simulate_layer, ExactConfig};
 use cimloop_workload::models;
@@ -81,6 +82,18 @@ fn value_exact(c: &mut Criterion) {
             },
         );
     }
+    // An SRAM macro: its cells charge a fixed share at input 0, so no row
+    // is silent and every weight draw is looked up. One run takes about
+    // 0.1 s, so the window is longer than the group's.
+    let sram = macro_a();
+    let sram_cfg = cfg(64);
+    group.measurement_time(Duration::from_secs(1));
+    group.bench_function("macro_a_activations/64", |b| {
+        b.iter(|| {
+            let report = simulate_layer(&sram, layer, &sram_cfg).expect("sim");
+            black_box(report.energy_total())
+        })
+    });
     group.finish();
 
     // The simulator's cost per cell event. The entry also pays the

@@ -322,6 +322,11 @@ impl EnergyTables {
 /// in both models) are taken from the statistical action counts so the
 /// comparison isolates the value-dependent analog datapath.
 ///
+/// Every cell event is charged, but a row whose input level draws no cell
+/// energy (a ReRAM row at input 0, E = G·V²·t) skips its weight lookup:
+/// its RNG word is still consumed, and the report is bit-identical to
+/// looking every weight up.
+///
 /// # Errors
 ///
 /// Propagates evaluation errors from the macro's models.
@@ -330,6 +335,16 @@ pub fn simulate_layer(
     layer: &Layer,
     cfg: &ExactConfig,
 ) -> Result<ExactReport, CoreError> {
+    simulate(m, layer, cfg).map(|(report, _)| report)
+}
+
+/// [`simulate_layer`], with the merged partial sums and counters of its
+/// steps.
+fn simulate(
+    m: &ArrayMacro,
+    layer: &Layer,
+    cfg: &ExactConfig,
+) -> Result<(ExactReport, SimPartial), CoreError> {
     let evaluator = m.evaluator()?;
     let rep = m.representation();
     let table = evaluator.action_energies(layer, &rep)?;
@@ -428,12 +443,13 @@ pub fn simulate_layer(
         per_component.insert("accumulator".into(), sim.accumulator * scale + acc_stat);
     }
 
-    Ok(ExactReport {
+    let report = ExactReport {
         per_component,
         simulated_activations: simulated,
         total_activations: total_steps,
         cell_events: sim.events,
-    })
+    };
+    Ok((report, sim))
 }
 
 /// Array geometry extracted from the canonical mapping.
@@ -536,6 +552,8 @@ struct SimPartial {
     analog_accumulator: f64,
     accumulator: f64,
     events: u64,
+    /// Weight draws looked up (`events` minus the silent rows' draws).
+    weight_lookups: u64,
 }
 
 impl SimPartial {
@@ -548,9 +566,96 @@ impl SimPartial {
         self.analog_accumulator += other.analog_accumulator;
         self.accumulator += other.accumulator;
         self.events += other.events;
+        self.weight_lookups += other.weight_lookups;
     }
 }
 
+/// The rows of one array step whose weights are looked up: every row but
+/// the silent ones (see [`simulate_steps`]), in row order.
+#[derive(Default)]
+struct ActiveRows {
+    /// Input levels of the active rows, in row order.
+    levels: Vec<usize>,
+    /// Runs of adjacent active rows: `(silent rows before the run, active
+    /// rows in it)`. With no silent row, one run holds every row.
+    runs: Vec<(usize, usize)>,
+    /// Silent rows after the last run.
+    tail: usize,
+}
+
+impl ActiveRows {
+    fn clear(&mut self) {
+        self.levels.clear();
+        self.runs.clear();
+        self.tail = 0;
+    }
+
+    /// Appends the next row, at input level `x`.
+    fn push(&mut self, x: usize, silent: bool) {
+        if silent {
+            self.tail += 1;
+            return;
+        }
+        match self.runs.last_mut() {
+            Some((_, len)) if self.tail == 0 => *len += 1,
+            _ => self.runs.push((self.tail, 1)),
+        }
+        self.levels.push(x);
+        self.tail = 0;
+    }
+
+    /// Draws one column's weights, one RNG word per row in row order:
+    /// steps the generator over each silent row's word and looks up each
+    /// active row's weight, adding its cell energy to `cell`. Returns the
+    /// column sum.
+    ///
+    /// Kept out of line so the run loop has the registers to itself:
+    /// inlined into [`simulate_steps`], its energy sum lands on the stack
+    /// and macro_a, whose rows are all active, simulates about 10% slower.
+    #[inline(never)]
+    fn weigh(
+        &self,
+        w_levels: &[u16],
+        sampler: &OperandSampler,
+        tables: &EnergyTables,
+        cell: &mut f64,
+        rng: &mut StdRng,
+    ) -> u64 {
+        let mut energy = *cell;
+        let mut col_sum = 0u64;
+        let mut start = 0;
+        for &(gap, len) in &self.runs {
+            for _ in 0..gap {
+                rng.next_u64();
+            }
+            for &x in &self.levels[start..start + len] {
+                let w = usize::from(w_levels[sampler.sample(rng)]);
+                energy += tables.cell[x * tables.cell_levels + w];
+                col_sum += (x * w) as u64;
+            }
+            start += len;
+        }
+        for _ in 0..self.tail {
+            rng.next_u64();
+        }
+        *cell = energy;
+        col_sum
+    }
+}
+
+/// Simulates `steps` array activations, drawing every operand from `rng`.
+///
+/// Each step draws one input word per row, then one weight word per row
+/// for each column, in row order. A row is *silent* when its input level
+/// is 0 and every cell-table entry of level 0 is `±0.0`: it adds only
+/// `±0.0` to the cell energy and `0 · w` to the column sum. A silent row's
+/// weight word is drawn (the generator is stepped over it) but not looked
+/// up, so the RNG stream and every other draw are unchanged. Skipping its
+/// add is bit-identical: `cell` starts at `+0.0`, and a round-to-nearest
+/// sum is `-0.0` only when both addends are, so adding `±0.0` to it is the
+/// identity. Only level 0 can be silent, since the column sum needs the
+/// weight of any other level. With no silent row, a column is one run over
+/// every row, one lookup per event.
 fn simulate_steps(
     steps: u64,
     g: &Geometry,
@@ -562,11 +667,12 @@ fn simulate_steps(
     let mut out = SimPartial::default();
     let adc_max = ((1u64 << tables.adc_bits) - 1) as f64;
     let sum_max = g.sum_max();
+    let silent_zero = tables.cell[..tables.cell_levels].iter().all(|&e| e == 0.0);
 
     let mut acc_codes: Vec<f64> = vec![0.0; g.outputs as usize];
     let mut acc_phase: u64 = 0;
 
-    let mut x_slices: Vec<usize> = vec![0; g.reduction as usize];
+    let mut active = ActiveRows::default();
 
     for _ in 0..steps {
         // Sample slice indices uniformly: each step of the bit-serial
@@ -578,11 +684,12 @@ fn simulate_steps(
 
         // Inputs: one word per reduction row; DAC converts its slice.
         let x_levels = input_sampler.slices(in_device, in_slice_idx);
-        for slot in x_slices.iter_mut() {
+        active.clear();
+        for _ in 0..g.reduction {
             let x = usize::from(x_levels[input_sampler.sample(rng)]);
-            *slot = x;
             out.dac += tables.dac[x];
             out.control += tables.control;
+            active.push(x, x == 0 && silent_zero);
         }
 
         // Columns.
@@ -597,13 +704,8 @@ fn simulate_steps(
                     rng.gen::<u32>() % g.weight_slice_count
                 };
                 let w_levels = weight_sampler.slices(w_device, t_slice);
-                let mut col_sum = 0u64;
-                for &x in &x_slices {
-                    let w = usize::from(w_levels[weight_sampler.sample(rng)]);
-                    out.cell += tables.cell[x * tables.cell_levels + w];
-                    col_sum += (x * w) as u64;
-                }
-                combined_sum += col_sum;
+                combined_sum += active.weigh(w_levels, weight_sampler, tables, &mut out.cell, rng);
+                out.weight_lookups += active.levels.len() as u64;
             }
             out.events += g.reduction * g.ws_columns;
             let code = ((combined_sum as f64 / sum_max) * adc_max)
@@ -714,6 +816,227 @@ mod tests {
         check_sampler(&Pmf::delta(3.0).unwrap(), 1, 64);
     }
 
+    /// `simulate_steps` before silent rows skipped their weight lookup:
+    /// every row of every column looks its weight up.
+    fn reference_steps(
+        steps: u64,
+        g: &Geometry,
+        tables: &EnergyTables,
+        input_sampler: &OperandSampler,
+        weight_sampler: &OperandSampler,
+        rng: &mut StdRng,
+    ) -> SimPartial {
+        let mut out = SimPartial::default();
+        let adc_max = ((1u64 << tables.adc_bits) - 1) as f64;
+        let sum_max = g.sum_max();
+
+        let mut acc_codes: Vec<f64> = vec![0.0; g.outputs as usize];
+        let mut acc_phase: u64 = 0;
+
+        let mut x_slices: Vec<usize> = vec![0; g.reduction as usize];
+
+        for _ in 0..steps {
+            // Sample slice indices uniformly: each step of the bit-serial
+            // schedule uses one (device, slice) pair; random sampling over
+            // steps is an unbiased estimator of the schedule average.
+            let in_device = rng.gen::<u32>() % g.input_devices;
+            let in_slice_idx = rng.gen::<u32>() % g.input_slice_count;
+            let w_device = rng.gen::<u32>() % g.weight_devices;
+
+            // Inputs: one word per reduction row; DAC converts its slice.
+            let x_levels = input_sampler.slices(in_device, in_slice_idx);
+            for slot in x_slices.iter_mut() {
+                let x = usize::from(x_levels[input_sampler.sample(rng)]);
+                *slot = x;
+                out.dac += tables.dac[x];
+                out.control += tables.control;
+            }
+
+            // Columns.
+            for col in 0..g.outputs {
+                let mut combined_sum = 0u64;
+                for ws in 0..g.ws_columns {
+                    // Temporal weight slice (if any) is sampled; spatial slices
+                    // (Macro B) enumerate `ws`.
+                    let t_slice = if g.ws_columns > 1 {
+                        ws as u32
+                    } else {
+                        rng.gen::<u32>() % g.weight_slice_count
+                    };
+                    let w_levels = weight_sampler.slices(w_device, t_slice);
+                    let mut col_sum = 0u64;
+                    for &x in &x_slices {
+                        let w = usize::from(w_levels[weight_sampler.sample(rng)]);
+                        out.cell += tables.cell[x * tables.cell_levels + w];
+                        col_sum += (x * w) as u64;
+                    }
+                    combined_sum += col_sum;
+                }
+                out.events += g.reduction * g.ws_columns;
+                let code = ((combined_sum as f64 / sum_max) * adc_max)
+                    .round()
+                    .clamp(0.0, adc_max) as usize;
+
+                match g.combine {
+                    OutputCombine::AnalogAdder { .. } => {
+                        if !tables.adder.is_empty() {
+                            out.adder += tables.adder[code];
+                        }
+                        out.adc += tables.adc[code];
+                        if !tables.accumulator.is_empty() {
+                            out.accumulator += tables.accumulator[code];
+                        }
+                    }
+                    OutputCombine::AnalogAccumulator => {
+                        // Integrate; the ADC converts when a group completes.
+                        let slot = &mut acc_codes[col as usize];
+                        *slot = (*slot + code as f64 / g.accumulate_depth as f64).min(adc_max);
+                        if !tables.analog_accumulator.is_empty() {
+                            out.analog_accumulator +=
+                                tables.analog_accumulator[(*slot).round() as usize];
+                        }
+                    }
+                    _ => {
+                        out.adc += tables.adc[code];
+                        if !tables.accumulator.is_empty() {
+                            out.accumulator += tables.accumulator[code];
+                        }
+                    }
+                }
+            }
+
+            if g.combine == OutputCombine::AnalogAccumulator {
+                acc_phase += 1;
+                if acc_phase >= g.accumulate_depth {
+                    for slot in acc_codes.iter_mut() {
+                        let code = (*slot).round().clamp(0.0, adc_max) as usize;
+                        out.adc += tables.adc[code];
+                        *slot = 0.0;
+                    }
+                    acc_phase = 0;
+                }
+            }
+        }
+        out
+    }
+
+    /// `±0.0`, picked by the next RNG word.
+    fn signed_zero(rng: &mut StdRng) -> f64 {
+        if rng.gen::<bool>() {
+            0.0
+        } else {
+            -0.0
+        }
+    }
+
+    /// A small non-zero integer of either sign, so energies cancel
+    /// exactly and sums pass through `+0.0`.
+    fn nonzero(rng: &mut StdRng) -> f64 {
+        let magnitude = f64::from(1 + rng.gen::<u32>() % 3);
+        if rng.gen::<bool>() {
+            magnitude
+        } else {
+            -magnitude
+        }
+    }
+
+    /// A distribution over every `bits`-bit value, some without mass and
+    /// 0 with up to about half of it.
+    fn random_pmf(rng: &mut StdRng, bits: u32, signed: bool) -> Pmf {
+        let (lo, hi) = if signed {
+            (-(1i64 << (bits - 1)), (1i64 << (bits - 1)) - 1)
+        } else {
+            (0, (1i64 << bits) - 1)
+        };
+        let points = (hi - lo + 1) as f64;
+        let weights: Vec<(f64, f64)> = (lo..=hi)
+            .map(|v| {
+                let w = match (v, rng.gen::<u32>() % 4) {
+                    (0, _) => 1.0 + rng.gen::<f64>() * points,
+                    (_, 0) => 0.0,
+                    _ => rng.gen::<f64>(),
+                };
+                (v as f64, w)
+            })
+            .collect();
+        Pmf::from_weights(weights).unwrap()
+    }
+
+    /// Tables whose cell levels are each all `±0.0` (silent at level 0),
+    /// `±0.0` but for one entry, or a mix of `±0.0` and non-zero entries.
+    fn random_tables(rng: &mut StdRng, dac_bits: u32, cell_bits: u32) -> EnergyTables {
+        let dac_levels = 1usize << dac_bits;
+        let cell_levels = 1usize << cell_bits;
+        let mut cell = Vec::with_capacity(dac_levels * cell_levels);
+        for _ in 0..dac_levels {
+            let kind = rng.gen::<u32>() % 3;
+            let lone = rng.gen::<usize>() % cell_levels;
+            for w in 0..cell_levels {
+                let zero = kind == 0 || (kind == 1 && w != lone) || (kind == 2 && rng.gen());
+                cell.push(if zero { signed_zero(rng) } else { nonzero(rng) });
+            }
+        }
+        let adc_bits = 1 + rng.gen::<u32>() % 5;
+        let adc_levels = 1usize << adc_bits;
+        EnergyTables {
+            dac: energies(rng, dac_levels, false),
+            control: 0.5,
+            cell,
+            cell_levels,
+            adc: energies(rng, adc_levels, false),
+            adder: energies(rng, adc_levels, true),
+            analog_accumulator: energies(rng, adc_levels, true),
+            accumulator: energies(rng, adc_levels, true),
+            adc_bits,
+        }
+    }
+
+    /// `len` non-zero energies; none, if `optional` and the next word says
+    /// so (a component the macro lacks).
+    fn energies(rng: &mut StdRng, len: usize, optional: bool) -> Vec<f64> {
+        if optional && rng.gen() {
+            return Vec::new();
+        }
+        (0..len).map(|_| nonzero(rng)).collect()
+    }
+
+    /// Every field but the lookup count, as bits.
+    fn partial_bits(p: &SimPartial) -> [u64; 8] {
+        [
+            p.dac.to_bits(),
+            p.control.to_bits(),
+            p.cell.to_bits(),
+            p.adc.to_bits(),
+            p.adder.to_bits(),
+            p.analog_accumulator.to_bits(),
+            p.accumulator.to_bits(),
+            p.events,
+        ]
+    }
+
+    #[test]
+    fn silent_rows_skip_their_weight_lookups() {
+        let net = cimloop_workload::models::resnet18();
+        let layer = &net.layers()[6];
+        let cfg = |max_activations| ExactConfig {
+            seed: 1,
+            max_activations,
+            threads: 1,
+        };
+        // ReRAM cells draw nothing at input 0, so most 1-bit input rows
+        // are silent.
+        let (_, base) = simulate(&cimloop_macros::base_macro(), layer, &cfg(64)).unwrap();
+        assert_eq!(
+            (base.events, base.weight_lookups),
+            (1_048_576, 152_576),
+            "base_macro's weight lookups"
+        );
+        // SRAM cells charge a fixed share at input 0: nothing is silent.
+        let (_, a) = simulate(&cimloop_macros::macro_a(), layer, &cfg(4)).unwrap();
+        assert!(a.events > 0);
+        assert_eq!(a.weight_lookups, a.events, "macro_a's weight lookups");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -733,6 +1056,69 @@ mod tests {
                 return;
             };
             check_sampler(&pmf, seed, 256);
+        }
+
+        #[test]
+        fn silent_rows_leave_every_bit_unchanged(
+            combine in 0usize..4,
+            (reduction, outputs, ws_columns) in (1u64..40, 1u64..4, 1u64..4),
+            accumulate_depth in 1u64..4,
+            (dac_bits, cell_bits) in (1u32..4, 1u32..4),
+            (input_encoding, weight_encoding) in (0usize..4, 0usize..4),
+            (input_bits, weight_bits, signed) in (1u32..7, 1u32..7, any::<bool>()),
+            steps in 1u64..5,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let combine = [
+                OutputCombine::None,
+                OutputCombine::WireSum { columns_per_group: 2 },
+                OutputCombine::AnalogAdder { operands: 2 },
+                OutputCombine::AnalogAccumulator,
+            ][combine];
+            let (input_encoding, weight_encoding) =
+                (Encoding::ALL[input_encoding], Encoding::ALL[weight_encoding]);
+            let g = Geometry {
+                reduction,
+                outputs,
+                ws_columns,
+                accumulate_depth,
+                input_slice_count: input_bits.div_ceil(dac_bits),
+                weight_slice_count: weight_bits.div_ceil(cell_bits),
+                input_devices: input_encoding.devices_per_operand() as u32,
+                weight_devices: weight_encoding.devices_per_operand() as u32,
+                combine,
+                dac_bits,
+                cell_bits,
+            };
+            let inputs = OperandSampler::new(
+                &random_pmf(&mut rng, input_bits, signed),
+                input_encoding,
+                input_bits,
+                signed,
+                dac_bits,
+                g.input_slice_count,
+            );
+            let weights = OperandSampler::new(
+                &random_pmf(&mut rng, weight_bits, signed),
+                weight_encoding,
+                weight_bits,
+                signed,
+                cell_bits,
+                g.weight_slice_count.max(ws_columns as u32),
+            );
+            let tables = random_tables(&mut rng, dac_bits, cell_bits);
+
+            let mut fast_rng = StdRng::seed_from_u64(rng.gen());
+            let mut slow_rng = fast_rng.clone();
+            let fast = simulate_steps(steps, &g, &tables, &inputs, &weights, &mut fast_rng);
+            let slow = reference_steps(steps, &g, &tables, &inputs, &weights, &mut slow_rng);
+            prop_assert_eq!(partial_bits(&fast), partial_bits(&slow));
+            prop_assert_eq!(fast_rng.next_u64(), slow_rng.next_u64());
+            prop_assert!(fast.weight_lookups <= fast.events);
+            if tables.cell[..tables.cell_levels].iter().any(|&e| e != 0.0) {
+                prop_assert_eq!(fast.weight_lookups, fast.events);
+            }
         }
     }
 }

@@ -9,7 +9,9 @@
 //! constant and say why.
 
 use cimloop_core::{CoreError, Encoding};
-use cimloop_macros::{base_macro, digital_cim, macro_a, macro_b, macro_c, macro_d, ArrayMacro};
+use cimloop_macros::{
+    base_macro, digital_cim, macro_a, macro_b, macro_c, macro_d, ArrayMacro, OutputCombine,
+};
 use cimloop_noise::NoiseSpec;
 use cimloop_sim::{
     mc_column_readout, mc_ideal_column_readout, simulate_layer, ExactConfig, ExactReport, McConfig,
@@ -135,6 +137,37 @@ fn exact_reports_of_every_encoding_pair_are_pinned() {
     assert_eq!(
         h.0, 0x6421_16a6_b9b4_5907,
         "encoding-pair pin moved: {:#018x}",
+        h.0
+    );
+}
+
+/// ReRAM cells draw no energy at input level 0 (E = G·V²·t), so these
+/// macros have rows whose cell events cost nothing. No preset has their
+/// shapes: `base_macro`'s array behind an analog adder, behind an analog
+/// accumulator, and driven by a 2-bit DAC. The constant was computed
+/// while every such row still looked its weight up.
+#[test]
+fn exact_reports_of_silent_row_shapes_are_pinned() {
+    let mut h = Fnv::new();
+    for (shape, m) in [
+        (
+            "analog_adder",
+            base_macro().with_output_combine(OutputCombine::AnalogAdder { operands: 2 }),
+        ),
+        (
+            "analog_accumulator",
+            base_macro().with_output_combine(OutputCombine::AnalogAccumulator),
+        ),
+        ("dac_2", base_macro().with_dac_resolution(2)),
+    ] {
+        h.bytes(shape.as_bytes());
+        for r in reports(&m, &LAYERS).unwrap_or_else(|e| panic!("{shape}: {e}")) {
+            h.exact(&r);
+        }
+    }
+    assert_eq!(
+        h.0, 0x3ff0_b9e1_f959_d24d,
+        "silent-row pin moved: {:#018x}",
         h.0
     );
 }
