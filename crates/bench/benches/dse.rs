@@ -26,7 +26,7 @@ use criterion::{
     black_box, criterion_group, criterion_main, entry_mean_ns, record_metric, Criterion,
 };
 
-use cimloop_core::NoiseSpec;
+use cimloop_core::{NoiseSpec, RunReport};
 use cimloop_dse::{
     summarize, AccuracyObjective, DesignReport, DesignSpace, EvalScope, Exploration, Explorer,
     ParetoFront, SweepPlan,
@@ -64,9 +64,13 @@ fn naive_system_front(space: &DesignSpace, net: &Workload) -> ParetoFront<Design
     for point in space.designs() {
         let system = CimSystem::new(point.cim_macro().clone()).with_scenario(FIG2_SCENARIO);
         let evaluator = system.evaluator().expect("system evaluator");
-        let run = evaluator
-            .evaluate(net, &system.representation())
-            .expect("naive evaluation");
+        let rep = system.representation();
+        let layers = net
+            .layers()
+            .iter()
+            .map(|l| (l.count(), evaluator.evaluate_layer(l, &rep).expect("naive")))
+            .collect();
+        let run = RunReport::from_layer_reports(net.name(), layers);
         let report = summarize(&point, &evaluator, &run);
         front.insert(point.id(), report.objectives(), report);
     }

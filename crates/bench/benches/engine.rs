@@ -1,15 +1,15 @@
-//! Criterion bench for the amortized network-evaluation engine: a
-//! whole-network sweep over a repeated-layer zoo network (ViT's unrolled
-//! encoder), sequential/uncached vs. engine (cached, parallel), plus the
-//! streaming mapping search against its materializing ancestor.
+//! Criterion bench for whole-network evaluation: a sweep over a
+//! repeated-layer zoo network (ViT's unrolled encoder), per-layer
+//! sequential/uncached vs. `Evaluator::evaluate` (cached, parallel), plus
+//! the streaming mapping search against its materializing ancestor.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
+use cimloop_core::{EnergyTableCache, RunReport};
 use cimloop_macros::base_macro;
 use cimloop_map::Mapper;
-use cimloop_system::NetworkEngine;
 use cimloop_workload::{models, Workload};
 
 fn network_sweep(c: &mut Criterion) {
@@ -26,23 +26,28 @@ fn network_sweep(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(8));
     group.bench_function("network_sweep_sequential_uncached", |b| {
         b.iter(|| {
-            let report = evaluator.evaluate(&net, &rep).expect("sweep");
+            let layers = net
+                .layers()
+                .iter()
+                .map(|l| (l.count(), evaluator.evaluate_layer(l, &rep).expect("layer")))
+                .collect();
+            let report = RunReport::from_layer_reports(net.name(), layers);
             black_box(report.energy_total())
         })
     });
     group.bench_function("network_sweep_engine_cold", |b| {
         b.iter(|| {
-            // A fresh engine per iteration: measures a cold whole-network
-            // sweep including its table computations.
-            let engine = NetworkEngine::new(&evaluator);
-            let report = engine.evaluate_network(&net, &rep).expect("sweep");
+            // A fresh cache per iteration: measures a cold whole-network
+            // sweep over every core, including its table computations.
+            let cache = EnergyTableCache::new();
+            let report = evaluator.evaluate(&net, &rep, &cache, 0).expect("sweep");
             black_box(report.energy_total())
         })
     });
-    let warm = NetworkEngine::new(&evaluator);
+    let warm = EnergyTableCache::new();
     group.bench_function("network_sweep_engine_warm", |b| {
         b.iter(|| {
-            let report = warm.evaluate_network(&net, &rep).expect("sweep");
+            let report = evaluator.evaluate(&net, &rep, &warm, 0).expect("sweep");
             black_box(report.energy_total())
         })
     });

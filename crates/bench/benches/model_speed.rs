@@ -96,14 +96,22 @@ fn value_exact(c: &mut Criterion) {
     });
     group.finish();
 
-    // The simulator's cost per cell event. The entry also pays the
-    // layer's statistical evaluation, which the exact run starts from.
-    if let Some(mean_ns) = entry_mean_ns("value_exact/simulate_activations/256") {
-        let events = simulate_layer(&m, layer, &cfg(256))
-            .expect("sim")
-            .cell_events();
-        let ns = mean_ns / events as f64;
-        println!("value_exact_ns_per_cell_event: {ns:.2} ns ({events} events)");
+    // The simulator's cost per cell event: the time between the 64- and
+    // the 256-activation runs over the events between them, so each run's
+    // fixed set-up (the layer's statistical evaluation, which the exact
+    // run starts from) cancels.
+    if let (Some(short_ns), Some(long_ns)) = (
+        entry_mean_ns("value_exact/simulate_activations/64"),
+        entry_mean_ns("value_exact/simulate_activations/256"),
+    ) {
+        let events = |acts| {
+            simulate_layer(&m, layer, &cfg(acts))
+                .expect("sim")
+                .cell_events()
+        };
+        let extra = events(256) - events(64);
+        let ns = (long_ns - short_ns) / extra as f64;
+        println!("value_exact_ns_per_cell_event: {ns:.2} ns ({extra} events between the runs)");
         record_metric("value_exact_ns_per_cell_event", ns);
     }
 }

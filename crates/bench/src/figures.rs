@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use cimloop_circuits::dac::{CapacitiveDac, CurrentDac};
 use cimloop_circuits::{ComponentModel, ValueContext};
-use cimloop_core::{CoreError, Encoding, EnergyTableCache, LayerReport, NoiseSpec};
+use cimloop_core::{CoreError, Encoding, EnergyTableCache, LayerReport, NoiseSpec, RunReport};
 use cimloop_dse::{DesignSpace, EvalScope, Explorer};
 use cimloop_macros::category::{self, Category};
 use cimloop_macros::{
@@ -23,7 +23,7 @@ use cimloop_macros::{
 };
 use cimloop_sim::{fixed_energy_table, mc_layer, simulate_layer, ExactConfig, McConfig};
 use cimloop_stats::Pmf;
-use cimloop_system::{CimSystem, NetworkEngine, StorageScenario};
+use cimloop_system::{CimSystem, StorageScenario};
 use cimloop_tech::TechNode;
 use cimloop_workload::{models, Layer, LayerKind, Shape, ValueProfile, Workload};
 
@@ -730,6 +730,8 @@ pub fn fig14() -> Figure {
             let report = m.evaluator()?.evaluate(
                 workload.as_ref().unwrap_or(&models::mvm(n, n)),
                 &m.representation(),
+                &EnergyTableCache::new(),
+                1,
             )?;
             let pj = |e: f64| e / report.macs_total() as f64 * 1e12;
             let e = |name| report.energy_of(name);
@@ -766,9 +768,12 @@ pub fn fig15() -> Figure {
     for scenario in StorageScenario::ALL {
         for (label, workload) in [("GPT-2 (large)", &gpt2), ("ResNet18 (mixed)", &resnet)] {
             let system = CimSystem::new(macro_d()).with_scenario(scenario);
-            let report = system
-                .evaluator()?
-                .evaluate(workload, &system.representation())?;
+            let report = system.evaluator()?.evaluate(
+                workload,
+                &system.representation(),
+                &EnergyTableCache::new(),
+                1,
+            )?;
             let (mut on_chip, mut glb, mut dram) = (0.0, 0.0, 0.0);
             for (count, layer_report) in report.layers() {
                 let (o, g, d) = CimSystem::fig15_breakdown(layer_report);
@@ -887,12 +892,13 @@ pub fn fig_mc_accuracy() -> Figure {
 }
 
 /// A whole-network sweep through the amortized evaluation engine: a
-/// 6-layer stack with two distinct value signatures, evaluated
-/// sequentially without a cache and through a single-threaded
-/// [`NetworkEngine`], whose reports must be bit-identical. The table
-/// records what the sweep computed (layers, distinct energy tables,
-/// energy), independent of machine speed and thread scheduling; the
-/// `engine` criterion bench times it.
+/// 6-layer stack with two distinct value signatures, evaluated layer by
+/// layer without a cache and by a single-threaded
+/// [`Evaluator::evaluate`](cimloop_core::Evaluator::evaluate), whose
+/// reports must be bit-identical. The table records what the sweep
+/// computed (layers, distinct energy tables, energy), independent of
+/// machine speed and thread scheduling; the `engine` criterion bench
+/// times it.
 ///
 /// # Panics
 ///
@@ -916,10 +922,14 @@ pub fn network_sweep() -> Figure {
     let evaluator = m.evaluator()?;
     let rep = m.representation();
 
-    let baseline = evaluator.evaluate(&net, &rep)?;
+    let mut per_layer = Vec::new();
+    for layer in net.layers() {
+        per_layer.push((layer.count(), evaluator.evaluate_layer(layer, &rep)?));
+    }
+    let baseline = RunReport::from_layer_reports(net.name(), per_layer);
     // One thread, so the miss count is the number of distinct tables.
-    let engine = NetworkEngine::new(&evaluator).with_threads(1);
-    let report = engine.evaluate_network(&net, &rep)?;
+    let cache = EnergyTableCache::new();
+    let report = evaluator.evaluate(&net, &rep, &cache, 1)?;
     assert_eq!(
         baseline, report,
         "cached sweep diverged from the sequential baseline"
@@ -939,7 +949,7 @@ pub fn network_sweep() -> Figure {
     table.row(vec![
         net.name().to_owned(),
         net.layers().len().to_string(),
-        engine.cache().misses().to_string(),
+        cache.misses().to_string(),
         format!("{:.6e}", baseline.energy_total()),
         format!("{:.6e}", baseline.energy_per_mac()),
     ]);

@@ -1,7 +1,7 @@
 //! The experiment runners behind [`crate::run`], one per scenario
 //! `experiment:` kind.
 //!
-//! Each runner drives the library's engines directly (`NetworkEngine`
+//! Each runner drives the library's engines directly (`Evaluator::evaluate`
 //! for network evaluations, `Explorer` for design grids, the value-exact
 //! simulator for speed records), so a scenario spec and the same calls
 //! made programmatically produce **bit-identical** TSVs. The committed
@@ -19,6 +19,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use cimloop_bench::{fmt, ExperimentTable};
+use cimloop_core::EnergyTableCache;
 use cimloop_dse::{
     AccuracyObjective, Checkpoint, CheckpointError, DesignSpace, EvalScope, Exploration, Explorer,
     ParetoFront, SweepPlan,
@@ -26,7 +27,6 @@ use cimloop_dse::{
 use cimloop_macros::{ArrayMacro, OutputCombine};
 use cimloop_sim::{simulate_layer, ExactConfig};
 use cimloop_spec::{ScenarioDoc, Section, SpecError};
-use cimloop_system::NetworkEngine;
 use cimloop_workload::scenario::{display_name, zoo_model};
 use cimloop_workload::{Layer, LayerKind, Shape, Workload};
 
@@ -46,7 +46,8 @@ fn sweep_section(doc: &ScenarioDoc) -> Result<&Section, CliError> {
 }
 
 /// `experiment: evaluate` — one architecture, one workload, a per-layer
-/// report through the amortized [`NetworkEngine`].
+/// report, its layers fanned over every core and amortized through the
+/// context's cache.
 pub fn evaluate(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTable, CliError> {
     let arch = doc
         .architecture()
@@ -55,8 +56,7 @@ pub fn evaluate(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTable, 
     let scope = resolve::scope(doc.scenario())?;
     let net = resolve::workload(doc)?;
     let (evaluator, rep) = resolve::evaluator_for(&m, scope)?;
-    let engine = NetworkEngine::new(&evaluator).with_cache(ctx.cache().clone());
-    let report = engine.evaluate_network(&net, &rep)?;
+    let report = evaluator.evaluate(&net, &rep, ctx.cache(), 0)?;
 
     let mut out = table(
         doc,
@@ -221,7 +221,7 @@ pub fn sweep(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTable, Cli
             cells.push(axis.raws[i].clone());
         }
         let (evaluator, rep) = resolve::evaluator_for(&m, scope)?;
-        let report = evaluator.evaluate_cached(&net, &rep, cache)?;
+        let report = evaluator.evaluate(&net, &rep, cache, 1)?;
         for metric in &metrics {
             cells.push(match metric.as_str() {
                 "snr_db" => report
@@ -700,8 +700,7 @@ pub fn output_reuse(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTab
                     &owned
                 }
             };
-            let engine = NetworkEngine::new(&evaluator).with_cache(ctx.cache().clone());
-            let report = engine.evaluate_network(workload, &rep)?;
+            let report = evaluator.evaluate(workload, &rep, ctx.cache(), 0)?;
             let dac = report.energy_of("dac");
             let adc = report.energy_of("adc") + report.energy_of("accumulator");
             let other = report.energy_total() - dac - adc;
@@ -830,16 +829,16 @@ pub fn speed_record(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTab
         streamed.to_string(),
     ]);
 
-    // Amortized engine sweep of an unrolled zoo network. Deliberately a
-    // *fresh* engine cache, not the shared one: the "distinct energy
-    // tables" row below records this experiment's own working set, which
-    // must stay byte-identical whether the run is batch or served from a
-    // warm daemon.
+    // Amortized sweep of an unrolled zoo network over every core.
+    // Deliberately a *fresh* cache, not the shared one: the "distinct
+    // energy tables" row below records this experiment's own working set,
+    // which must stay byte-identical whether the run is batch or served
+    // from a warm daemon.
     let engine_net = zoo_model(engine_key, 256, 256, 256)
         .ok_or_else(|| CliError::usage(format!("unknown engine model `{engine_key}`")))?
         .unrolled();
-    let engine = NetworkEngine::new(&evaluator);
-    let report = engine.evaluate_network(&engine_net, &rep)?;
+    let engine_cache = EnergyTableCache::new();
+    let report = evaluator.evaluate(&engine_net, &rep, &engine_cache, 0)?;
     out.row(vec![
         format!(
             "engine sweep layers ({} unrolled)",
@@ -849,7 +848,7 @@ pub fn speed_record(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTab
     ]);
     out.row(vec![
         "engine distinct energy tables".to_owned(),
-        engine.cache().len().to_string(),
+        engine_cache.len().to_string(),
     ]);
     out.row(vec![
         "engine sweep energy (J)".to_owned(),

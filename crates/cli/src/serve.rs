@@ -2,8 +2,8 @@
 //!
 //! Every batch entry point pays the expensive value-statistics work from
 //! nothing on each invocation; the engine's own numbers
-//! (`results/BENCH_engine.json`: ~166 µs warm-cache vs ~55 ms uncached
-//! per network sweep) say the payoff of staying resident is ~330x. This
+//! (`results/BENCH_engine.json`: ~0.42 ms warm-cache vs ~20 ms uncached
+//! per network sweep) say the payoff of staying resident is ~50x. This
 //! module keeps one process alive, shares **one** process-wide (bounded)
 //! [`EnergyTableCache`] across every request, and guarantees that a
 //! served response is byte-identical to the batch CLI's TSV for the same

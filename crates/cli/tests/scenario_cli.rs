@@ -9,6 +9,7 @@ use cimloop_cli::{
     merge_fronts, run, run_scenario, validate_doc_with, validate_text, CliError, DseOptions,
     RunContext, ValidateOptions,
 };
+use cimloop_core::EnergyTableCache;
 use cimloop_dse::{DesignSpace, Explorer, Shard};
 use cimloop_macros::base_macro;
 use cimloop_spec::{ScenarioDoc, SpecError};
@@ -118,7 +119,12 @@ fn spec_driven_evaluate_matches_the_programmatic_evaluator() {
     let report = m
         .evaluator()
         .unwrap()
-        .evaluate(&tiny_workload(), &m.representation())
+        .evaluate(
+            &tiny_workload(),
+            &m.representation(),
+            &EnergyTableCache::new(),
+            1,
+        )
         .unwrap();
     let tsv = table.to_tsv();
     let total_row = tsv

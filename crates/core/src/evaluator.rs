@@ -23,7 +23,8 @@ use cimloop_workload::{Layer, Shape, Workload};
 
 use crate::pipeline::{reduction_rows_of, ValueStats};
 use crate::{
-    CoreError, EnergyTableCache, Pipeline, Representation, StatsSignature, TableSignature,
+    par_try_map, CoreError, EnergyTableCache, Pipeline, Representation, StatsSignature,
+    TableSignature,
 };
 
 /// Per-action energies for one component and tensor, joules.
@@ -279,8 +280,9 @@ pub struct RunReport {
 
 impl RunReport {
     /// Assembles a report from per-layer results and their repeat counts,
-    /// in execution order. This is how external evaluation drivers (e.g.,
-    /// a parallel network engine) merge independently computed layers.
+    /// in execution order: how [`Evaluator::evaluate`] merges its layers,
+    /// and how a per-layer [`Evaluator::evaluate_layer`] sweep assembles
+    /// the reference it must equal.
     pub fn from_layer_reports(
         workload_name: impl Into<String>,
         layers: Vec<(u64, LayerReport)>,
@@ -754,43 +756,33 @@ impl Evaluator {
         self.evaluate_mapping(layer, rep, &table, &mapping)
     }
 
-    /// Evaluates a whole workload (respecting layer repeat counts).
+    /// Evaluates a whole workload (respecting layer repeat counts): the
+    /// layers fan out over [`par_try_map`] on `threads` workers (`0` =
+    /// every core, `1` = the calling thread), each through
+    /// [`Self::evaluate_layer_cached`], so layers with equal
+    /// [`TableSignature`]s share one table from `cache`. Reports merge back
+    /// in workload order, bit-identical to per-layer
+    /// [`Self::evaluate_layer`] calls at any thread count and cache state;
+    /// only timing and the cache counters differ.
     ///
     /// # Errors
     ///
-    /// Propagates per-layer errors.
+    /// Propagates per-layer errors. On the first failure workers stop
+    /// claiming layers, and the error of the earliest claimed failing
+    /// layer is returned.
     pub fn evaluate(
         &self,
         workload: &Workload,
         rep: &Representation,
-    ) -> Result<RunReport, CoreError> {
-        let mut layers = Vec::with_capacity(workload.layers().len());
-        for layer in workload.layers() {
-            layers.push((layer.count(), self.evaluate_layer(layer, rep)?));
-        }
-        Ok(RunReport::from_layer_reports(workload.name(), layers))
-    }
-
-    /// Like [`Self::evaluate`], sharing energy tables through `cache`.
-    /// Produces a bit-identical report to the uncached path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-layer errors.
-    pub fn evaluate_cached(
-        &self,
-        workload: &Workload,
-        rep: &Representation,
         cache: &EnergyTableCache,
+        threads: usize,
     ) -> Result<RunReport, CoreError> {
-        let mut layers = Vec::with_capacity(workload.layers().len());
-        for layer in workload.layers() {
-            layers.push((
-                layer.count(),
-                self.evaluate_layer_cached(layer, rep, cache)?,
-            ));
-        }
-        Ok(RunReport::from_layer_reports(workload.name(), layers))
+        let layers = workload.layers();
+        let reports = par_try_map(threads, layers.len(), |i| {
+            self.evaluate_layer_cached(&layers[i], rep, cache)
+        })?;
+        let merged = layers.iter().map(Layer::count).zip(reports).collect();
+        Ok(RunReport::from_layer_reports(workload.name(), merged))
     }
 
     /// Per-component and total area of the hierarchy.
@@ -988,13 +980,31 @@ slice_storage: true
             ),
             small_layer().with_input_bits(4),
         ];
-        let net = cimloop_workload::Workload::new("net", layers).unwrap();
-        let cache = EnergyTableCache::new();
-        let cached = e.evaluate_cached(&net, &r, &cache).unwrap();
-        let uncached = e.evaluate(&net, &r).unwrap();
-        assert_eq!(cached, uncached);
-        assert_eq!(cache.misses(), 2, "two distinct signatures");
-        assert_eq!(cache.hits(), 1, "repeated signature served from cache");
+        let net = Workload::new("net", layers).unwrap();
+        // The reference: uncached per-layer evaluation, merged in order.
+        let per_layer = net
+            .layers()
+            .iter()
+            .map(|l| (l.count(), e.evaluate_layer(l, &r).unwrap()))
+            .collect();
+        let reference = RunReport::from_layer_reports(net.name(), per_layer);
+        for threads in [1, 4] {
+            let cache = EnergyTableCache::new();
+            let cold = e.evaluate(&net, &r, &cache, threads).unwrap();
+            assert_eq!(cold, reference, "cold cache, {threads} threads");
+            // Racing misses on one signature may each compute a
+            // bit-identical table, so only one thread pins the split.
+            if threads == 1 {
+                assert_eq!(cache.misses(), 2, "two distinct signatures");
+                assert_eq!(cache.hits(), 1, "repeated signature served from cache");
+            }
+            assert_eq!(cache.hits() + cache.misses(), 3);
+            assert_eq!(cache.len(), 2);
+            let hits = cache.hits();
+            let warm = e.evaluate(&net, &r, &cache, threads).unwrap();
+            assert_eq!(warm, reference, "warm cache, {threads} threads");
+            assert_eq!(cache.hits(), hits + 3, "a warm sweep is all hits");
+        }
     }
 
     #[test]
@@ -1111,8 +1121,10 @@ slice_storage: true
         let e = Evaluator::new(base_macro(64, 64, 8)).unwrap();
         let net = models::mobilenet_v3_large();
         // Evaluate a slice of the network to keep the test fast.
-        let subset = cimloop_workload::Workload::new("subset", net.layers()[..4].to_vec()).unwrap();
-        let report = e.evaluate(&subset, &rep()).unwrap();
+        let subset = Workload::new("subset", net.layers()[..4].to_vec()).unwrap();
+        let report = e
+            .evaluate(&subset, &rep(), &EnergyTableCache::new(), 1)
+            .unwrap();
         assert_eq!(report.layers().len(), 4);
         let sum: f64 = report
             .layers()
@@ -1208,8 +1220,10 @@ slice_storage: true
             .unwrap()
             .with_noise(NoiseSpec::new().with_cell_variation(0.1));
         let layers = vec![small_layer(), small_layer().with_input_bits(4)];
-        let net = cimloop_workload::Workload::new("net", layers).unwrap();
-        let report = e.evaluate(&net, &rep()).unwrap();
+        let net = Workload::new("net", layers).unwrap();
+        let report = e
+            .evaluate(&net, &rep(), &EnergyTableCache::new(), 1)
+            .unwrap();
         let min = report
             .layers()
             .iter()

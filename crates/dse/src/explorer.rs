@@ -2,7 +2,8 @@
 //!
 //! Candidate designs fan out over [`par_try_map`], the one place
 //! evaluation threads are spawned (work-stealing by design index, the
-//! same pool as [`cimloop_system::NetworkEngine`]), all workers sharing
+//! pool [`Evaluator::evaluate`] fans a workload's layers over; here each
+//! design evaluates its layers on its own worker), all workers sharing
 //! one [`EnergyTableCache`]. Table signatures differ per design (each design
 //! is its own hierarchy), but the expensive hierarchy-independent value
 //! statistics are keyed only by `(layer values, representation, reduction
@@ -542,7 +543,7 @@ impl Explorer {
                 return Ok(None);
             }
         }
-        let run = evaluator.evaluate_cached(workload, &rep, &self.cache)?;
+        let run = evaluator.evaluate(workload, &rep, &self.cache, 1)?;
         let mut report = summarize(point, &evaluator, &run);
         if self.accuracy == AccuracyObjective::TaskAccuracy {
             report.task_accuracy = Some(task_accuracy_of(point.cim_macro(), workload)?);
@@ -631,6 +632,26 @@ mod tests {
         .unwrap()
     }
 
+    /// The naive reference: uncached per-layer `evaluate_layer` calls,
+    /// which [`Evaluator::evaluate`] must equal at one and four threads,
+    /// on a cold and then a warm cache.
+    fn naive_run(evaluator: &Evaluator, net: &Workload, rep: &Representation) -> RunReport {
+        let layers = net
+            .layers()
+            .iter()
+            .map(|l| (l.count(), evaluator.evaluate_layer(l, rep).unwrap()))
+            .collect();
+        let reference = RunReport::from_layer_reports(net.name(), layers);
+        for threads in [1, 4] {
+            let cache = EnergyTableCache::new();
+            for state in ["cold", "warm"] {
+                let run = evaluator.evaluate(net, rep, &cache, threads).unwrap();
+                assert_eq!(run, reference, "{state} cache, {threads} threads");
+            }
+        }
+        reference
+    }
+
     fn tiny_space() -> DesignSpace {
         DesignSpace::new()
             .variant("base", base_macro().uncalibrated())
@@ -680,7 +701,7 @@ mod tests {
                         (system.evaluator().unwrap(), system.representation())
                     }
                 };
-                let run = evaluator.evaluate(&net, &rep).unwrap();
+                let run = naive_run(&evaluator, &net, &rep);
                 let mut report = summarize(&point, &evaluator, &run);
                 if accuracy == AccuracyObjective::TaskAccuracy {
                     report.task_accuracy = Some(task_accuracy_of(point.cim_macro(), &net).unwrap());

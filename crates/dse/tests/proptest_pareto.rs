@@ -4,6 +4,7 @@
 //! cached/parallel explorer's front equals a naive sequential sweep
 //! without the cache.
 
+use cimloop_core::{EnergyTableCache, RunReport};
 use cimloop_dse::{summarize, AccuracyObjective, DesignSpace, Explorer, Objectives, ParetoFront};
 use cimloop_macros::base_macro;
 use cimloop_workload::{Layer, LayerKind, Shape, Workload};
@@ -150,9 +151,22 @@ fn explorer_front_equals_naive_sequential_front() {
         let mut naive = ParetoFront::new();
         for point in space.designs() {
             let evaluator = point.cim_macro().evaluator().expect("evaluator");
-            let run = evaluator
-                .evaluate(&net, &point.cim_macro().representation())
-                .expect("naive evaluation");
+            let rep = point.cim_macro().representation();
+            let layers = net
+                .layers()
+                .iter()
+                .map(|l| (l.count(), evaluator.evaluate_layer(l, &rep).expect("naive")))
+                .collect();
+            let run = RunReport::from_layer_reports(net.name(), layers);
+            // Whole-workload evaluation matches the naive run at one and
+            // four threads, on a cold and then a warm cache.
+            for threads in [1, 4] {
+                let cache = EnergyTableCache::new();
+                for state in ["cold", "warm"] {
+                    let cached = evaluator.evaluate(&net, &rep, &cache, threads);
+                    assert_eq!(cached.expect("cached"), run, "{state}, {threads} threads");
+                }
+            }
             let report = summarize(&point, &evaluator, &run);
             naive.insert(point.id(), report.objectives_for(accuracy), report);
         }

@@ -8,15 +8,10 @@
 //! evaluates the three storage scenarios of Fig 15 via
 //! [`StorageScenario`].
 //!
-//! For whole-network sweeps, [`NetworkEngine`] amortizes the
-//! data-value-dependent energy tables across layers with equal value
-//! signatures and fans layer evaluation out over
-//! [`cimloop_core::par_try_map`], producing bit-identical reports to the
-//! sequential path.
-//!
 //! # Example
 //!
 //! ```
+//! use cimloop_core::EnergyTableCache;
 //! use cimloop_macros::macro_d;
 //! use cimloop_system::{CimSystem, StorageScenario};
 //! use cimloop_workload::models;
@@ -25,9 +20,14 @@
 //! let system = CimSystem::new(macro_d())
 //!     .with_scenario(StorageScenario::WeightStationary);
 //! let evaluator = system.evaluator()?;
+//! let rep = system.representation();
 //! let net = models::resnet18();
-//! let report = evaluator.evaluate_layer(&net.layers()[5], &system.representation())?;
+//! let report = evaluator.evaluate_layer(&net.layers()[5], &rep)?;
 //! assert!(report.energy_of("dram") > 0.0); // inputs/outputs move off-chip
+//! // A whole workload, its layers fanned out over every core (`0`) and
+//! // sharing energy tables through the cache.
+//! let run = evaluator.evaluate(&models::mvm(64, 64), &rep, &EnergyTableCache::new(), 0)?;
+//! assert!(run.energy_of("dram") > 0.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -35,12 +35,9 @@
 #![warn(clippy::print_stderr)]
 #![warn(missing_docs)]
 
-use cimloop_core::{
-    par_try_map, CoreError, EnergyTableCache, Evaluator, LayerReport, Representation, RunReport,
-};
+use cimloop_core::{CoreError, Evaluator, LayerReport, Representation};
 use cimloop_macros::ArrayMacro;
 use cimloop_spec::{Component, Hierarchy, Reuse, Tensor};
-use cimloop_workload::{Layer, Workload};
 
 /// Where tensors live between uses (the three scenarios of paper Fig 15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -204,15 +201,8 @@ impl CimSystem {
     /// Propagates hierarchy and calibration errors.
     pub fn evaluator(&self) -> Result<Evaluator, CoreError> {
         // Calibrate the macro in isolation, then nest the scaled macro.
-        let calibrated = match self.cim_macro.calibration() {
-            Some(anchor) => {
-                let (e, l) = cimloop_macros::calibrate::calibrate(&self.cim_macro, anchor)?;
-                self.cim_macro.clone().uncalibrated().with_scales(e, l)
-            }
-            None => self.cim_macro.clone(),
-        };
         let system = CimSystem {
-            cim_macro: calibrated,
+            cim_macro: self.cim_macro.frozen()?,
             ..self.clone()
         };
         Evaluator::new(system.hierarchy()?)
@@ -228,114 +218,42 @@ impl CimSystem {
     }
 }
 
-/// The amortized network-evaluation engine (paper Table II at network
-/// scale): evaluates whole workloads by sharing [`ActionEnergyTable`]s
-/// across layers with equal value signatures and fanning layers out over
-/// [`par_try_map`], the one place evaluation threads are spawned.
-///
-/// Results are **bit-identical** to the sequential, uncached
-/// [`Evaluator::evaluate`] path: the energy-table computation is
-/// deterministic (so a shared table equals a recomputed one), each layer is
-/// evaluated by exactly the same code, and per-layer
-/// [`cimloop_core::ComponentReport`]s are merged back in workload order
-/// regardless of thread scheduling.
-///
-/// [`ActionEnergyTable`]: cimloop_core::ActionEnergyTable
-///
-/// # Example
-///
-/// ```
-/// use cimloop_macros::base_macro;
-/// use cimloop_system::NetworkEngine;
-/// use cimloop_workload::models;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let m = base_macro();
-/// let evaluator = m.evaluator()?;
-/// let engine = NetworkEngine::new(&evaluator);
-/// let report = engine.evaluate_network(&models::mvm(64, 64), &m.representation())?;
-/// assert!(report.energy_total() > 0.0);
-/// # Ok(())
-/// # }
-/// ```
-pub struct NetworkEngine<'a> {
-    evaluator: &'a Evaluator,
-    cache: std::sync::Arc<EnergyTableCache>,
-    threads: usize,
-}
-
-impl<'a> NetworkEngine<'a> {
-    /// Creates an engine over `evaluator` with an empty cache, using every
-    /// available core.
-    pub fn new(evaluator: &'a Evaluator) -> Self {
-        NetworkEngine {
-            evaluator,
-            cache: std::sync::Arc::new(EnergyTableCache::new()),
-            threads: 0,
-        }
-    }
-
-    /// Sets the worker-thread count. `0` (the default) resolves to
-    /// [`std::thread::available_parallelism`]; `1` evaluates layers
-    /// sequentially on the calling thread (still cached).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Shares an existing (possibly bounded) cache instead of the engine's
-    /// own — the resident-service configuration, where every request's
-    /// engine amortizes against one process-wide cache. Results are
-    /// bit-identical either way; only timing changes.
-    pub fn with_cache(mut self, cache: std::sync::Arc<EnergyTableCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// The underlying evaluator.
-    pub fn evaluator(&self) -> &Evaluator {
-        self.evaluator
-    }
-
-    /// The engine's energy-table cache (for hit/miss introspection).
-    pub fn cache(&self) -> &EnergyTableCache {
-        &self.cache
-    }
-
-    /// Evaluates a whole workload, amortizing energy tables across layers
-    /// and fanning layers out over [`par_try_map`]. The merged report is
-    /// deterministic: layers appear in workload order with bit-identical
-    /// numbers to the sequential path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-layer errors. On the first failure the sweep aborts:
-    /// workers stop pulling layers, so unclaimed layers are never
-    /// evaluated, and the error of the earliest *claimed* failing layer is
-    /// returned.
-    pub fn evaluate_network(
-        &self,
-        workload: &Workload,
-        rep: &Representation,
-    ) -> Result<RunReport, CoreError> {
-        let layers = workload.layers();
-        let reports = par_try_map(self.threads, layers.len(), |i| {
-            self.evaluator
-                .evaluate_layer_cached(&layers[i], rep, &self.cache)
-        })?;
-        let merged = layers.iter().map(Layer::count).zip(reports).collect();
-        Ok(RunReport::from_layer_reports(workload.name(), merged))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cimloop_core::{EnergyTableCache, RunReport};
     use cimloop_macros::{base_macro, macro_d};
-    use cimloop_workload::{models, Layer, LayerKind, Shape};
+    use cimloop_workload::{models, Layer, LayerKind, Shape, Workload};
 
     fn small_layer() -> Layer {
         Layer::new("l", LayerKind::Linear, Shape::linear(32, 128, 128).unwrap())
+    }
+
+    /// Asserts that [`Evaluator::evaluate`] at one and at four threads,
+    /// each on a cold and then a warm cache, equals the reference of
+    /// uncached per-layer [`Evaluator::evaluate_layer`] calls, and that a
+    /// warm sweep is all hits. Returns the two caches, one thread first.
+    fn evaluate_cold_and_warm(
+        evaluator: &Evaluator,
+        net: &Workload,
+        rep: &Representation,
+    ) -> [EnergyTableCache; 2] {
+        let layers = net
+            .layers()
+            .iter()
+            .map(|l| (l.count(), evaluator.evaluate_layer(l, rep).unwrap()))
+            .collect();
+        let reference = RunReport::from_layer_reports(net.name(), layers);
+        [1, 4].map(|threads| {
+            let cache = EnergyTableCache::new();
+            let cold = evaluator.evaluate(net, rep, &cache, threads).unwrap();
+            assert_eq!(cold, reference, "cold cache, {threads} threads");
+            let hits = cache.hits();
+            let warm = evaluator.evaluate(net, rep, &cache, threads).unwrap();
+            assert_eq!(warm, reference, "warm cache, {threads} threads");
+            assert_eq!(cache.hits(), hits + net.layers().len() as u64);
+            cache
+        })
     }
 
     #[test]
@@ -436,23 +354,16 @@ mod tests {
                 }
             })
             .collect();
-        let net = cimloop_workload::Workload::new("stack", layers).unwrap();
+        let net = Workload::new("stack", layers).unwrap();
 
-        let sequential = evaluator.evaluate(&net, &rep).unwrap();
-        let engine = NetworkEngine::new(&evaluator).with_threads(4);
-        let parallel = engine.evaluate_network(&net, &rep).unwrap();
-        assert_eq!(sequential, parallel);
-        // Repeated signatures dedupe to two cached tables. (The hit/miss
-        // split is timing-dependent under concurrency — racing misses on
-        // one signature may each compute a bit-identical table — so only
-        // the lookup total and the deduped count are asserted.)
-        let stats = (engine.cache().hits(), engine.cache().misses());
-        assert_eq!(stats.0 + stats.1, 6);
-        assert_eq!(engine.cache().len(), 2);
-        // A second, warm sweep is all hits and still bit-identical.
-        let warm = engine.evaluate_network(&net, &rep).unwrap();
-        assert_eq!(sequential, warm);
-        assert_eq!(engine.cache().hits(), stats.0 + 6);
+        let [one, four] = evaluate_cold_and_warm(&evaluator, &net, &rep);
+        // Repeated signatures dedupe to two cached tables. (At four
+        // threads the cold hit/miss split is timing-dependent — racing
+        // misses on one signature may each compute a bit-identical table —
+        // so only the lookup total and the deduped count are asserted.)
+        assert_eq!((one.misses(), one.hits()), (2, 10));
+        assert_eq!(four.hits() + four.misses(), 12);
+        assert_eq!(four.len(), 2);
     }
 
     #[test]
@@ -464,17 +375,14 @@ mod tests {
         // block shares its table with the other repeats.
         let net = models::vit_base();
         let unrolled = net.unrolled();
-        let subset =
-            cimloop_workload::Workload::new("vit-head", unrolled.layers()[..20].to_vec()).unwrap();
-        let engine = NetworkEngine::new(&evaluator);
-        let report = engine.evaluate_network(&subset, &rep).unwrap();
-        assert_eq!(report.layers().len(), 20);
-        assert!(
-            engine.cache().len() <= 4,
-            "expected few distinct signatures, got {}",
-            engine.cache().len()
-        );
-        assert_eq!(report, evaluator.evaluate(&subset, &rep).unwrap());
+        let subset = Workload::new("vit-head", unrolled.layers()[..20].to_vec()).unwrap();
+        for cache in evaluate_cold_and_warm(&evaluator, &subset, &rep) {
+            assert!(
+                cache.len() <= 4,
+                "expected few distinct signatures, got {}",
+                cache.len()
+            );
+        }
     }
 
     #[test]
@@ -483,9 +391,7 @@ mod tests {
         let evaluator = m.raw_evaluator().unwrap();
         let rep = m.representation();
         let net = models::mvm_batch(64, 64, 4);
-        let engine = NetworkEngine::new(&evaluator).with_threads(1);
-        let report = engine.evaluate_network(&net, &rep).unwrap();
-        assert_eq!(report, evaluator.evaluate(&net, &rep).unwrap());
+        evaluate_cold_and_warm(&evaluator, &net, &rep);
     }
 
     #[test]
@@ -493,18 +399,11 @@ mod tests {
         let m = base_macro().uncalibrated();
         let evaluator = m.raw_evaluator().unwrap();
         let rep = m.representation();
-        let layer = small_layer();
-        let net = cimloop_workload::Workload::new("one", vec![layer.clone()]).unwrap();
-        let engine = NetworkEngine::new(&evaluator);
-        let a = engine.evaluate_network(&net, &rep).unwrap();
-        let b = engine.evaluate_network(&net, &rep).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(engine.cache().misses(), 1);
-        assert_eq!(engine.cache().hits(), 1);
-        assert_eq!(
-            a.layers()[0].1,
-            evaluator.evaluate_layer(&layer, &rep).unwrap()
-        );
+        let net = Workload::new("one", vec![small_layer()]).unwrap();
+        // One layer: the cold sweep misses once, the warm one hits once.
+        for cache in evaluate_cold_and_warm(&evaluator, &net, &rep) {
+            assert_eq!((cache.misses(), cache.hits()), (1, 1));
+        }
     }
 
     #[test]

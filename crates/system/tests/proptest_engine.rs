@@ -1,13 +1,12 @@
-//! Property tests for the amortized network-evaluation engine: caching and
-//! parallel fan-out must be *exactly* invisible — bit-for-bit identical
-//! reports to the sequential, uncached evaluator — across random layer
-//! sequences with repeated value signatures.
+//! Property tests for whole-workload evaluation: caching and parallel
+//! fan-out must be *exactly* invisible — bit-for-bit identical reports
+//! to uncached per-layer evaluation — across random layer sequences with
+//! repeated value signatures.
 
 use std::sync::OnceLock;
 
-use cimloop_core::{EnergyTableCache, Evaluator, Representation};
+use cimloop_core::{EnergyTableCache, Evaluator, Representation, RunReport};
 use cimloop_macros::base_macro;
-use cimloop_system::NetworkEngine;
 use cimloop_workload::{Layer, LayerKind, Shape, ValueProfile, Workload};
 use proptest::prelude::*;
 
@@ -54,34 +53,51 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
     })
 }
 
+/// Evaluates `net` on `threads` workers, first through a cold cache and
+/// then through the warmed one, and checks both reports against uncached
+/// per-layer evaluation, bit for bit.
+fn check_against_per_layer(net: &Workload, threads: usize) {
+    let (evaluator, rep) = evaluator();
+    let layers = net
+        .layers()
+        .iter()
+        .map(|l| {
+            (
+                l.count(),
+                evaluator.evaluate_layer(l, rep).expect("uncached"),
+            )
+        })
+        .collect();
+    let reference = RunReport::from_layer_reports(net.name(), layers);
+    let lookups = net.layers().len() as u64;
+    let cache = EnergyTableCache::new();
+    let cold = evaluator.evaluate(net, rep, &cache, threads).expect("cold");
+    prop_assert_eq!(&reference, &cold, "cold cache, {} threads", threads);
+    // Repeats in the sequence must actually share tables.
+    prop_assert!(
+        cache.len() <= 4,
+        "more tables than archetypes: {}",
+        cache.len()
+    );
+    prop_assert_eq!(cache.hits() + cache.misses(), lookups);
+    // A second sweep through the warmed cache is all hits.
+    let hits = cache.hits();
+    let warm = evaluator.evaluate(net, rep, &cache, threads).expect("warm");
+    prop_assert_eq!(&reference, &warm, "warm cache, {} threads", threads);
+    prop_assert_eq!(cache.hits(), hits + lookups);
+}
+
 proptest! {
     // Every case evaluates a network three ways; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn cached_evaluation_is_bit_identical(net in arb_workload()) {
-        let (evaluator, rep) = evaluator();
-        let cache = EnergyTableCache::new();
-        let uncached = evaluator.evaluate(&net, rep).expect("uncached");
-        let cached = evaluator.evaluate_cached(&net, rep, &cache).expect("cached");
-        prop_assert_eq!(&uncached, &cached);
-        // Repeats in the sequence must actually share tables.
-        prop_assert!(cache.len() <= 4, "more tables than archetypes: {}", cache.len());
-        prop_assert_eq!(
-            cache.hits() + cache.misses(),
-            net.layers().len() as u64
-        );
+        check_against_per_layer(&net, 1);
     }
 
     #[test]
     fn parallel_network_is_bit_identical(net in arb_workload()) {
-        let (evaluator, rep) = evaluator();
-        let sequential = evaluator.evaluate(&net, rep).expect("sequential");
-        let engine = NetworkEngine::new(evaluator).with_threads(4);
-        let parallel = engine.evaluate_network(&net, rep).expect("parallel");
-        prop_assert_eq!(&sequential, &parallel);
-        // A second sweep through the warmed engine is also identical.
-        let again = engine.evaluate_network(&net, rep).expect("warm");
-        prop_assert_eq!(&sequential, &again);
+        check_against_per_layer(&net, 4);
     }
 }

@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --release --example full_system`
 
+use cimloop::core::EnergyTableCache;
 use cimloop::macros::macro_d;
 use cimloop::system::{CimSystem, StorageScenario};
 use cimloop::workload::models;
@@ -19,7 +20,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for scenario in StorageScenario::ALL {
         let system = CimSystem::new(macro_d()).with_scenario(scenario);
         let evaluator = system.evaluator()?;
-        let report = evaluator.evaluate(&subset, &system.representation())?;
+        // Layers fan out over every core (`0`), sharing energy tables.
+        let cache = EnergyTableCache::new();
+        let report = evaluator.evaluate(&subset, &system.representation(), &cache, 0)?;
         let macs = report.macs_total() as f64;
         let mut on_chip = 0.0;
         let mut glb = 0.0;

@@ -2,8 +2,10 @@
 //! per-action energy table is mapping-invariant (computed once per layer,
 //! reused across every candidate mapping), totals decompose exactly into
 //! action counts times per-action energies, and reported MAC counts equal
-//! the workload's own MAC counts across the zoo networks.
+//! the workload's own MAC counts across the zoo networks, whose
+//! whole-workload evaluation equals their per-layer one bit for bit.
 
+use cimloop::core::{EnergyTableCache, RunReport};
 use cimloop::macros::base_macro;
 use cimloop::map::{analyze, Mapper, Strategy};
 use cimloop::spec::Tensor;
@@ -92,7 +94,21 @@ fn reported_macs_match_layer_macs_across_zoo_networks() {
         models::mobilenet_v3_large(),
         models::vit_base(),
     ] {
-        let report = evaluator.evaluate(&net, &rep).unwrap();
+        let layers = net
+            .layers()
+            .iter()
+            .map(|l| (l.count(), evaluator.evaluate_layer(l, &rep).unwrap()))
+            .collect();
+        let report = RunReport::from_layer_reports(net.name(), layers);
+        // Whole-workload evaluation equals the per-layer reference bit for
+        // bit at one and four threads, on a cold and then a warm cache.
+        for threads in [1, 4] {
+            let cache = EnergyTableCache::new();
+            for state in ["cold", "warm"] {
+                let run = evaluator.evaluate(&net, &rep, &cache, threads).unwrap();
+                assert_eq!(run, report, "{} ({state}, {threads} threads)", net.name());
+            }
+        }
         assert_eq!(report.layers().len(), net.layers().len(), "{}", net.name());
         for ((count, layer_report), layer) in report.layers().iter().zip(net.layers()) {
             assert_eq!(

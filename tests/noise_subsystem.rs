@@ -2,7 +2,7 @@
 //! the noise path composes with macros, the evaluator, the cache, and
 //! the DSE explorer — and, disabled, is an exact identity end to end.
 
-use cimloop::core::{EnergyTableCache, NoiseSpec};
+use cimloop::core::{EnergyTableCache, NoiseSpec, RunReport};
 use cimloop::dse::{AccuracyObjective, DesignSpace, Explorer};
 use cimloop::macros::base_macro;
 use cimloop::workload::models;
@@ -21,24 +21,29 @@ fn zero_sigma_evaluation_is_bit_identical_through_the_cached_engine() {
             .with_read_noise(0.0)
             .with_adc_offset(0.0),
     );
-    let cache = EnergyTableCache::new();
-    let a = ideal
-        .evaluator()
-        .unwrap()
-        .evaluate_cached(&net, &ideal.representation(), &cache)
-        .unwrap();
-    let b = zeroed
-        .evaluator()
-        .unwrap()
-        .evaluate_cached(&net, &zeroed.representation(), &cache)
-        .unwrap();
-    let uncached = ideal
-        .evaluator()
-        .unwrap()
-        .evaluate(&net, &ideal.representation())
-        .unwrap();
-    assert_eq!(a, b, "zero-sigma noise must be an exact identity");
-    assert_eq!(a, uncached, "cached and uncached paths must agree");
+    let (ideal_ev, zeroed_ev) = (ideal.evaluator().unwrap(), zeroed.evaluator().unwrap());
+    let rep = ideal.representation();
+    assert_eq!(rep, zeroed.representation());
+    let layers = net
+        .layers()
+        .iter()
+        .map(|l| (l.count(), ideal_ev.evaluate_layer(l, &rep).unwrap()))
+        .collect();
+    let uncached = RunReport::from_layer_reports(net.name(), layers);
+    // Both macros share each cache, cold and then warm, at one and four
+    // threads.
+    for threads in [1, 4] {
+        let cache = EnergyTableCache::new();
+        for state in ["cold", "warm"] {
+            let a = ideal_ev.evaluate(&net, &rep, &cache, threads).unwrap();
+            let b = zeroed_ev.evaluate(&net, &rep, &cache, threads).unwrap();
+            assert_eq!(a, b, "zero-sigma noise must be an exact identity");
+            assert_eq!(
+                a, uncached,
+                "cached and uncached paths must agree ({state} cache, {threads} threads)"
+            );
+        }
+    }
 }
 
 #[test]
@@ -53,7 +58,7 @@ fn noise_degrades_snr_monotonically_with_variation() {
         let report = m
             .evaluator()
             .unwrap()
-            .evaluate(&net, &m.representation())
+            .evaluate(&net, &m.representation(), &EnergyTableCache::new(), 1)
             .unwrap();
         let snr = report.output_snr_db().expect("analog readout");
         assert!(snr < last + 1e-9, "SNR did not degrade at sigma {sigma}");
