@@ -403,6 +403,10 @@ pub fn validate_doc_with(
     if kind == "output_reuse" {
         runners::output_reuse_plan(doc)?;
     }
+    // And a `speed_record`'s layer counts.
+    if let (Some(net), "speed_record") = (&net, kind.as_str()) {
+        runners::speed_record_plan(doc, net)?;
+    }
     // Reflection fixpoint check: the document must survive its own
     // canonical writer. Drift here means a raw token or a field would be
     // silently rewritten on the next round-trip — reported field by

@@ -732,6 +732,36 @@ pub fn output_reuse(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTab
     Ok(out)
 }
 
+/// The `!Scenario` header of a `speed_record` run on `net`. Neither
+/// `exact_layers:` nor `search_layers:` may exceed `net`'s layer count:
+/// the run would cover fewer layers than its table names.
+pub(crate) fn speed_record_plan(
+    doc: &ScenarioDoc,
+    net: &Workload,
+) -> Result<ScenarioSection, CliError> {
+    let section = doc.scenario();
+    let header = ScenarioSection::decode(section)?;
+    let layers = net.layers().len() as u64;
+    for (key, count) in [
+        ("exact_layers", header.exact_layers),
+        ("search_layers", header.search_layers),
+    ] {
+        if count > layers {
+            let entry = section.get(key);
+            let default = entry.map_or(" (the default)", |_| "");
+            return Err(CliError::Spec(SpecError::Parse {
+                line: entry.map_or(section.line(), |e| e.line),
+                message: format!(
+                    "`{key}: {count}`{default} is invalid: it exceeds the {layers}-layer \
+                     workload `{}`",
+                    net.name()
+                ),
+            }));
+        }
+    }
+    Ok(header)
+}
+
 /// `experiment: speed_record` — the deterministic work/energy record of
 /// the Table II speed experiment: value-exact simulation of the last
 /// layers, the statistical model over the whole network, a streaming
@@ -744,7 +774,7 @@ pub fn speed_record(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTab
         .ok_or_else(|| CliError::usage("scenario has no !Architecture section".to_owned()))?;
     let m = resolve::architecture(doc, arch)?;
     let net = resolve::workload(doc)?;
-    let header = ScenarioSection::decode(doc.scenario())?;
+    let header = speed_record_plan(doc, &net)?;
     let exact_layer_count = header.exact_layers as usize;
     let search_layers = header.search_layers as usize;
     let limit = header.mappings_per_layer as usize;

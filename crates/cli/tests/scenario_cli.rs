@@ -585,6 +585,50 @@ fn output_reuse_rejects_empty_groupings_and_workloads() {
     }
 }
 
+/// A `speed_record` scenario over one custom layer, with `counts` in its
+/// `!Scenario` header: `validate` and the run must both reject it at the
+/// line of `key`.
+fn assert_speed_record_rejects(counts: &str, key: &str) {
+    let spec = format!(
+        "!Scenario\nname: speed_bad\nexperiment: speed_record\n{counts}\n\
+         !Architecture\nmacro: base\n!Workload\nname: one_layer\n\
+         !Layer\nname: fc\nkind: linear\nn: 1\nk: 16\nc: 32\n"
+    );
+    let line = 1 + spec
+        .lines()
+        .position(|l| l.starts_with(key))
+        .expect("cited line");
+    let doc = ScenarioDoc::parse(&spec).expect("spec parses");
+    let validated = validate_doc_with(&doc, &ValidateOptions::default()).map(|_| ());
+    for result in [validated, run_scenario(&doc).map(|_| ())] {
+        match result {
+            Err(CliError::Spec(SpecError::Parse { line: at, message })) => {
+                assert_eq!(at, line, "error must point at `{key}`: {message}");
+                assert!(
+                    message.contains(key) && message.contains("1-layer workload"),
+                    "{message}"
+                );
+            }
+            Err(other) => panic!("expected a line-numbered parse error, got {other}"),
+            Ok(()) => panic!("`{key}` above the layer count must be rejected"),
+        }
+    }
+}
+
+#[test]
+fn speed_record_rejects_more_exact_layers_than_the_workload_has() {
+    // Regression: the table read "value-exact cell events (5 layers, …)"
+    // and simulated the one layer there is.
+    assert_speed_record_rejects("exact_layers: 5\nsearch_layers: 1", "exact_layers");
+}
+
+#[test]
+fn speed_record_rejects_more_search_layers_than_the_workload_has() {
+    // Regression: the table read "mapping-search candidates streamed
+    // (9 layers, …)" and searched the one layer there is.
+    assert_speed_record_rejects("exact_layers: 1\nsearch_layers: 9", "search_layers");
+}
+
 #[test]
 fn evaluate_exits_nonzero_when_the_tsv_cannot_be_written() {
     // Regression: a failed write printed a warning and exited 0, so a CI

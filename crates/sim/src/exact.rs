@@ -322,10 +322,11 @@ impl EnergyTables {
 /// in both models) are taken from the statistical action counts so the
 /// comparison isolates the value-dependent analog datapath.
 ///
-/// Every cell event is charged, but a row whose input level draws no cell
-/// energy (a ReRAM row at input 0, E = G·V²·t) skips its weight lookup:
-/// its RNG word is still consumed, and the report is bit-identical to
-/// looking every weight up.
+/// Every cell event is counted, but a row whose input level draws no cell
+/// energy (a ReRAM row at input 0, E = G·V²·t) draws no weight: its weight
+/// could reach neither the energy nor the column sum, so the report is a
+/// sample of the same distribution as when every weight is drawn
+/// (docs/accuracy.md, "Exact simulator stream").
 ///
 /// # Errors
 ///
@@ -552,7 +553,7 @@ struct SimPartial {
     analog_accumulator: f64,
     accumulator: f64,
     events: u64,
-    /// Weight draws looked up (`events` minus the silent rows' draws).
+    /// Weight words drawn and looked up: `events` minus the silent rows.
     weight_lookups: u64,
 }
 
@@ -570,92 +571,45 @@ impl SimPartial {
     }
 }
 
-/// The rows of one array step whose weights are looked up: every row but
-/// the silent ones (see [`simulate_steps`]), in row order.
-#[derive(Default)]
-struct ActiveRows {
-    /// Input levels of the active rows, in row order.
-    levels: Vec<usize>,
-    /// Runs of adjacent active rows: `(silent rows before the run, active
-    /// rows in it)`. With no silent row, one run holds every row.
-    runs: Vec<(usize, usize)>,
-    /// Silent rows after the last run.
-    tail: usize,
-}
-
-impl ActiveRows {
-    fn clear(&mut self) {
-        self.levels.clear();
-        self.runs.clear();
-        self.tail = 0;
+/// Draws one column's weights, one RNG word per active row in row order
+/// (`levels` holds the active rows' input levels), adding each cell
+/// energy to `cell`. Returns the column sum.
+///
+/// Kept out of line so the row loop has the registers to itself: inlined
+/// into [`simulate_steps`], its energy sum lands on the stack and
+/// macro_a, whose rows are all active, simulates about 10% slower.
+#[inline(never)]
+fn weigh(
+    levels: &[usize],
+    w_levels: &[u16],
+    sampler: &OperandSampler,
+    tables: &EnergyTables,
+    cell: &mut f64,
+    rng: &mut StdRng,
+) -> u64 {
+    let mut energy = *cell;
+    let mut col_sum = 0u64;
+    for &x in levels {
+        let w = usize::from(w_levels[sampler.sample(rng)]);
+        energy += tables.cell[x * tables.cell_levels + w];
+        col_sum += (x * w) as u64;
     }
-
-    /// Appends the next row, at input level `x`.
-    fn push(&mut self, x: usize, silent: bool) {
-        if silent {
-            self.tail += 1;
-            return;
-        }
-        match self.runs.last_mut() {
-            Some((_, len)) if self.tail == 0 => *len += 1,
-            _ => self.runs.push((self.tail, 1)),
-        }
-        self.levels.push(x);
-        self.tail = 0;
-    }
-
-    /// Draws one column's weights, one RNG word per row in row order:
-    /// steps the generator over each silent row's word and looks up each
-    /// active row's weight, adding its cell energy to `cell`. Returns the
-    /// column sum.
-    ///
-    /// Kept out of line so the run loop has the registers to itself:
-    /// inlined into [`simulate_steps`], its energy sum lands on the stack
-    /// and macro_a, whose rows are all active, simulates about 10% slower.
-    #[inline(never)]
-    fn weigh(
-        &self,
-        w_levels: &[u16],
-        sampler: &OperandSampler,
-        tables: &EnergyTables,
-        cell: &mut f64,
-        rng: &mut StdRng,
-    ) -> u64 {
-        let mut energy = *cell;
-        let mut col_sum = 0u64;
-        let mut start = 0;
-        for &(gap, len) in &self.runs {
-            for _ in 0..gap {
-                rng.next_u64();
-            }
-            for &x in &self.levels[start..start + len] {
-                let w = usize::from(w_levels[sampler.sample(rng)]);
-                energy += tables.cell[x * tables.cell_levels + w];
-                col_sum += (x * w) as u64;
-            }
-            start += len;
-        }
-        for _ in 0..self.tail {
-            rng.next_u64();
-        }
-        *cell = energy;
-        col_sum
-    }
+    *cell = energy;
+    col_sum
 }
 
 /// Simulates `steps` array activations, drawing every operand from `rng`.
 ///
-/// Each step draws one input word per row, then one weight word per row
-/// for each column, in row order. A row is *silent* when its input level
-/// is 0 and every cell-table entry of level 0 is `±0.0`: it adds only
-/// `±0.0` to the cell energy and `0 · w` to the column sum. A silent row's
-/// weight word is drawn (the generator is stepped over it) but not looked
-/// up, so the RNG stream and every other draw are unchanged. Skipping its
-/// add is bit-identical: `cell` starts at `+0.0`, and a round-to-nearest
-/// sum is `-0.0` only when both addends are, so adding `±0.0` to it is the
-/// identity. Only level 0 can be silent, since the column sum needs the
-/// weight of any other level. With no silent row, a column is one run over
-/// every row, one lookup per event.
+/// Each step draws one input word per row, then one weight word per
+/// active row for each column, in row order. A row is *silent* when its
+/// input level is 0 and every cell-table entry of level 0 is `±0.0`
+/// (ReRAM: E = G·V²·t): whatever its weight, it adds only `±0.0` to the
+/// cell energy and `0 · w` to the column sum, so it draws no weight word.
+/// Leaving its add out is exact: `cell` starts at `+0.0`, and a
+/// round-to-nearest sum is `-0.0` only when both addends are, so adding
+/// `±0.0` to it is the identity. Only level 0 can be silent, since the
+/// column sum needs the weight of any other level. With no silent row
+/// (every SRAM macro), every row draws: one word and one lookup per event.
 fn simulate_steps(
     steps: u64,
     g: &Geometry,
@@ -672,7 +626,8 @@ fn simulate_steps(
     let mut acc_codes: Vec<f64> = vec![0.0; g.outputs as usize];
     let mut acc_phase: u64 = 0;
 
-    let mut active = ActiveRows::default();
+    // Input levels of the step's active rows, in row order.
+    let mut active: Vec<usize> = Vec::with_capacity(g.reduction as usize);
 
     for _ in 0..steps {
         // Sample slice indices uniformly: each step of the bit-serial
@@ -689,7 +644,9 @@ fn simulate_steps(
             let x = usize::from(x_levels[input_sampler.sample(rng)]);
             out.dac += tables.dac[x];
             out.control += tables.control;
-            active.push(x, x == 0 && silent_zero);
+            if x != 0 || !silent_zero {
+                active.push(x);
+            }
         }
 
         // Columns.
@@ -704,8 +661,15 @@ fn simulate_steps(
                     rng.gen::<u32>() % g.weight_slice_count
                 };
                 let w_levels = weight_sampler.slices(w_device, t_slice);
-                combined_sum += active.weigh(w_levels, weight_sampler, tables, &mut out.cell, rng);
-                out.weight_lookups += active.levels.len() as u64;
+                combined_sum += weigh(
+                    &active,
+                    w_levels,
+                    weight_sampler,
+                    tables,
+                    &mut out.cell,
+                    rng,
+                );
+                out.weight_lookups += active.len() as u64;
             }
             out.events += g.reduction * g.ws_columns;
             let code = ((combined_sum as f64 / sum_max) * adc_max)
@@ -816,8 +780,10 @@ mod tests {
         check_sampler(&Pmf::delta(3.0).unwrap(), 1, 64);
     }
 
-    /// `simulate_steps` before silent rows skipped their weight lookup:
-    /// every row of every column looks its weight up.
+    /// `simulate_steps` event by event: every row of every column is
+    /// charged. An active row draws its weight word and looks it up. A
+    /// silent row draws nothing and is charged the level-0 energy of the
+    /// weight its row index picks, so zeros of both signs reach `cell`.
     fn reference_steps(
         steps: u64,
         g: &Geometry,
@@ -829,6 +795,7 @@ mod tests {
         let mut out = SimPartial::default();
         let adc_max = ((1u64 << tables.adc_bits) - 1) as f64;
         let sum_max = g.sum_max();
+        let silent_zero = tables.cell[..tables.cell_levels].iter().all(|&e| e == 0.0);
 
         let mut acc_codes: Vec<f64> = vec![0.0; g.outputs as usize];
         let mut acc_phase: u64 = 0;
@@ -865,7 +832,11 @@ mod tests {
                     };
                     let w_levels = weight_sampler.slices(w_device, t_slice);
                     let mut col_sum = 0u64;
-                    for &x in &x_slices {
+                    for (row, &x) in x_slices.iter().enumerate() {
+                        if x == 0 && silent_zero {
+                            out.cell += tables.cell[row % tables.cell_levels];
+                            continue;
+                        }
                         let w = usize::from(w_levels[weight_sampler.sample(rng)]);
                         out.cell += tables.cell[x * tables.cell_levels + w];
                         col_sum += (x * w) as u64;
@@ -1028,7 +999,7 @@ mod tests {
         let (_, base) = simulate(&cimloop_macros::base_macro(), layer, &cfg(64)).unwrap();
         assert_eq!(
             (base.events, base.weight_lookups),
-            (1_048_576, 152_576),
+            (1_048_576, 141_952),
             "base_macro's weight lookups"
         );
         // SRAM cells charge a fixed share at input 0: nothing is silent.
