@@ -69,7 +69,10 @@ fn value_exact(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("value_exact");
     group.sample_size(10);
-    for activations in [64u64, 256] {
+    // One 4,096-activation run takes tens of milliseconds, so its window
+    // is longer than the group's.
+    for (activations, window_ms) in [(64u64, 100), (256, 100), (4096, 1000)] {
+        group.measurement_time(Duration::from_millis(window_ms));
         group.bench_with_input(
             BenchmarkId::new("simulate_activations", activations),
             &activations,
@@ -96,20 +99,21 @@ fn value_exact(c: &mut Criterion) {
     });
     group.finish();
 
-    // The simulator's cost per cell event: the time between the 64- and
-    // the 256-activation runs over the events between them, so each run's
-    // fixed set-up (the layer's statistical evaluation, which the exact
-    // run starts from) cancels.
+    // The simulator's cost per cell event: the time between the 256- and
+    // the 4,096-activation runs over the events between them, so each
+    // run's fixed set-up (the layer's statistical evaluation, which the
+    // exact run starts from) cancels, and the gap of tens of milliseconds
+    // is far above the host's drift between the two entries.
     if let (Some(short_ns), Some(long_ns)) = (
-        entry_mean_ns("value_exact/simulate_activations/64"),
         entry_mean_ns("value_exact/simulate_activations/256"),
+        entry_mean_ns("value_exact/simulate_activations/4096"),
     ) {
         let events = |acts| {
             simulate_layer(&m, layer, &cfg(acts))
                 .expect("sim")
                 .cell_events()
         };
-        let extra = events(256) - events(64);
+        let extra = events(4096) - events(256);
         let ns = (long_ns - short_ns) / extra as f64;
         println!("value_exact_ns_per_cell_event: {ns:.2} ns ({extra} events between the runs)");
         record_metric("value_exact_ns_per_cell_event", ns);

@@ -348,6 +348,14 @@ fn serve(args: &[String]) -> Result<(), Stop> {
             .unwrap_or(defaults.stats_capacity),
         once: args.switch("--once"),
     };
+    for (flag, count) in [
+        ("--workers", config.workers),
+        ("--queue-depth", config.queue_depth),
+    ] {
+        if count == 0 {
+            return Err(usage(format!("{flag} must be at least 1")));
+        }
+    }
     let server = Server::bind(addr, config)
         .map_err(|e| failed(format!("cimloop serve: cannot bind {addr}"), e))?;
     let local = server

@@ -3,10 +3,15 @@
 //! output for the same document — across every committed example spec,
 //! under a tiny cache cap (eviction churn), and under concurrent
 //! clients sharing one cache. The daemon must also survive misbehaving
-//! clients: a disconnect aborts the request, never the process.
+//! clients: a disconnect aborts the request, never the process. And
+//! `cimloop serve` must refuse a zero worker count or queue depth rather
+//! than start.
 
+use std::io::Read as _;
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::thread;
+use std::time::Duration;
 
 use cimloop_cli::run_scenario;
 use cimloop_cli::serve::client::{Client, Response};
@@ -244,4 +249,50 @@ fn repeated_requests_hit_the_shared_cache() {
         .join()
         .expect("server thread")
         .expect("clean shutdown");
+}
+
+/// `cimloop serve` with `flag 0` must exit 2 naming the flag, before it
+/// binds. A daemon that starts instead is killed after about five seconds.
+fn assert_serve_rejects_zero(flag: &str) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cimloop"))
+        .args(["serve", "127.0.0.1:0", flag, "0"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("cimloop runs");
+    let mut status = None;
+    for _ in 0..250 {
+        status = child.try_wait().expect("poll cimloop serve");
+        if status.is_some() {
+            break;
+        }
+        thread::sleep(Duration::from_millis(20));
+    }
+    if status.is_none() {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+    let mut stderr = String::new();
+    if let Some(mut pipe) = child.stderr.take() {
+        let _ = pipe.read_to_string(&mut stderr);
+    }
+    assert_eq!(
+        status.and_then(|s| s.code()),
+        Some(2),
+        "`cimloop serve {flag} 0` must be a usage error: {stderr}"
+    );
+    assert!(
+        stderr.contains(flag),
+        "the error must name {flag}: {stderr}"
+    );
+}
+
+#[test]
+fn serve_rejects_zero_workers() {
+    assert_serve_rejects_zero("--workers");
+}
+
+#[test]
+fn serve_rejects_a_zero_queue_depth() {
+    assert_serve_rejects_zero("--queue-depth");
 }

@@ -265,7 +265,9 @@ impl ArrayMacro {
 
     /// Freezes calibration: computes the energy/latency scales at the
     /// *current* (published default) configuration once and bakes them in
-    /// as plain multipliers, dropping the anchor.
+    /// as plain multipliers, dropping the anchor. Manual
+    /// [`Self::with_scales`] multipliers multiply in, as in
+    /// [`Self::evaluator`].
     ///
     /// Design sweeps must derive every candidate from one frozen base:
     /// re-anchoring each variant to the same headline number would erase
@@ -280,7 +282,10 @@ impl ArrayMacro {
         match self.calibration {
             Some(anchor) => {
                 let (e, l) = calibrate::calibrate(self, anchor)?;
-                Ok(self.clone().uncalibrated().with_scales(e, l))
+                Ok(self
+                    .clone()
+                    .uncalibrated()
+                    .with_scales(self.energy_scale * e, self.latency_scale * l))
             }
             None => Ok(self.clone()),
         }
@@ -961,6 +966,23 @@ mod tests {
             .evaluate_layer(&layer, &f.representation())
             .unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn frozen_keeps_manual_scales() {
+        let m = crate::base_macro().with_scales(2.0, 0.5);
+        let layer = cimloop_workload::Layer::new(
+            "l",
+            cimloop_workload::LayerKind::Linear,
+            cimloop_workload::Shape::linear(2, 32, 32).unwrap(),
+        );
+        let report = |m: &ArrayMacro| {
+            m.evaluator()
+                .unwrap()
+                .evaluate_layer(&layer, &m.representation())
+                .unwrap()
+        };
+        assert_eq!(report(&m.frozen().unwrap()), report(&m));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use cimloop_core::{par_try_map, CoreError, Encoding, Evaluator};
 use cimloop_macros::{ArrayMacro, OutputCombine};
 use cimloop_map::analyze;
 use cimloop_spec::Tensor;
-use cimloop_stats::Pmf;
+use cimloop_stats::{Pmf, Sampler};
 use cimloop_workload::{Dim, Layer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,7 +19,9 @@ pub struct ExactConfig {
     /// activations is scaled to the full layer. `0` simulates every
     /// activation.
     pub max_activations: u64,
-    /// Worker threads (1 = single-threaded, as NeuroSim runs).
+    /// Worker threads (1 = single-threaded, as NeuroSim runs). Each
+    /// thread's share of steps has its own seed, so results repeat at a
+    /// fixed count but differ between counts.
     pub threads: usize,
 }
 
@@ -106,42 +108,20 @@ impl ExactReport {
 /// Draws operand values from a layer's PMF and hands out the slice levels
 /// one array step sees.
 ///
-/// Sampling is inverse-transform over the PMF's running sum (`cdf`), as a
-/// guide-table lookup ("indexed search", Chen & Asau 1974) instead of a
-/// binary search. A draw consumes one `u64` word, the same word
-/// `gen::<f64>()` consumes, and [`Self::index`] returns exactly
-/// `cdf.partition_point(|&c| c < u).min(len - 1)` for
-/// `u = (word >> 11) · 2⁻⁵³`, so the RNG stream and every sampled value
-/// are unchanged by the lookup.
-///
-/// The encoded operand's slices are precomputed: for each device stream
-/// and slice position, one table maps a support index to the masked
-/// slice level. A step picks its table once and then costs one load per
-/// sampled cell.
+/// A draw is one RNG word through [`Sampler::index`]. The encoded
+/// operand's slices are precomputed: for each device stream and slice
+/// position, one table maps a support index to the masked slice level. A
+/// step picks its table once and then costs one load per sampled cell.
 struct OperandSampler {
-    /// `threshold[i] = ⌊cdf[i]·2⁵³⌋ + 1`, so `cdf[i] < u` exactly when
-    /// `word >> 11 >= threshold[i]`. The last entry is `u64::MAX`, which
-    /// stops every scan inside the support.
-    threshold: Vec<u64>,
-    /// `guide[b]`: the index of the smallest draw whose top bits are `b`.
-    guide: Vec<u32>,
-    /// `64 − log2(guide.len())`: a word's bucket is `word >> guide_shift`.
-    guide_shift: u32,
-    /// Masked slice levels, one `threshold.len()`-long table per
+    sampler: Sampler,
+    /// Masked slice levels by support index, one table per
     /// `(device, slice)`, device-major.
-    slices: Vec<u16>,
+    slices: Vec<Vec<u16>>,
     /// Slice positions per device stream.
     slice_count: u32,
 }
 
 impl OperandSampler {
-    /// Guide-table buckets per support point, before the cap: the
-    /// expected scan past a bucket's guide is under `1 / GUIDE_RATIO`.
-    const GUIDE_RATIO: usize = 8;
-    /// At most this many buckets (`u32` entries), so 16-bit operands stay
-    /// small.
-    const MAX_GUIDE: usize = 1 << 16;
-
     /// A sampler over `pmf`, encoded with `encoding` and cut into
     /// `slice_count` slices of `slice_bits` bits per device stream.
     fn new(
@@ -152,74 +132,37 @@ impl OperandSampler {
         slice_bits: u32,
         slice_count: u32,
     ) -> Self {
-        let len = pmf.len();
-        let mut threshold = Vec::with_capacity(len);
-        let mut levels = Vec::with_capacity(len);
-        let mut cum = 0.0;
-        for (v, p) in pmf.iter() {
-            cum += p;
-            // Exact: scaling by 2⁵³ only moves the exponent, and `cum`
-            // is a non-negative running sum of non-negative masses.
-            threshold.push((cum * (1u64 << 53) as f64).floor() as u64 + 1);
-            levels.push(encoding.encode_value(v as i64, bits, signed));
-        }
-        threshold[len - 1] = u64::MAX;
-
-        let buckets = (len * Self::GUIDE_RATIO)
-            .next_power_of_two()
-            .min(Self::MAX_GUIDE);
-        let bucket_bits = buckets.trailing_zeros();
-        let mut guide = Vec::with_capacity(buckets);
-        let mut idx = 0;
-        for b in 0..buckets as u64 {
-            let first_draw = b << (53 - bucket_bits);
-            while first_draw >= threshold[idx] {
-                idx += 1;
-            }
-            guide.push(idx as u32);
-        }
-
-        let devices = encoding.devices_per_operand() as usize;
-        let mut slices = Vec::with_capacity(devices * slice_count as usize * len);
-        for device in 0..devices {
-            for slice in 0..slice_count {
-                slices.extend(
-                    levels
-                        .iter()
-                        .map(|l| Encoding::slice_value(l[device], slice_bits, slice) as u16),
-                );
-            }
-        }
+        let levels: Vec<_> = pmf
+            .support()
+            .iter()
+            .map(|&v| encoding.encode_value(v as i64, bits, signed))
+            .collect();
+        let tables = encoding.devices_per_operand() as u32 * slice_count;
+        let slices = (0..tables)
+            .map(|table| {
+                let (device, slice) = ((table / slice_count) as usize, table % slice_count);
+                levels
+                    .iter()
+                    .map(|l| Encoding::slice_value(l[device], slice_bits, slice) as u16)
+                    .collect()
+            })
+            .collect();
         OperandSampler {
-            threshold,
-            guide,
-            guide_shift: 64 - bucket_bits,
+            sampler: Sampler::new(pmf),
             slices,
             slice_count,
         }
     }
 
-    /// The support index a 64-bit RNG word selects.
-    fn index(&self, word: u64) -> usize {
-        let draw = word >> 11;
-        let mut idx = self.guide[(word >> self.guide_shift) as usize] as usize;
-        while draw >= self.threshold[idx] {
-            idx += 1;
-        }
-        idx
-    }
-
     /// Draws one support index, consuming one RNG word.
     fn sample(&self, rng: &mut StdRng) -> usize {
-        self.index(rng.gen::<u64>())
+        self.sampler.index(rng.gen())
     }
 
     /// The slice-level table of `(device, slice)`, indexed by support
     /// index.
     fn slices(&self, device: u32, slice: u32) -> &[u16] {
-        let len = self.threshold.len();
-        let start = (device * self.slice_count + slice) as usize * len;
-        &self.slices[start..start + len]
+        &self.slices[(device * self.slice_count + slice) as usize]
     }
 }
 
@@ -724,62 +667,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The binary search the guide table replaces.
-    fn reference(cdf: &[f64], u: f64) -> usize {
-        cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
-    }
-
-    fn running_sum(pmf: &Pmf) -> Vec<f64> {
-        pmf.iter()
-            .scan(0.0, |cum, (_, p)| {
-                *cum += p;
-                Some(*cum)
-            })
-            .collect()
-    }
-
-    /// `gen::<f64>()` of the word `word`.
-    fn unit(word: u64) -> f64 {
-        (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Checks [`OperandSampler::index`] against [`reference`] for draws
-    /// at, just below and just above every CDF value, and for `draws`
-    /// words of a seeded stream.
-    fn check_sampler(pmf: &Pmf, seed: u64, draws: usize) {
-        let cdf = running_sum(pmf);
-        let sampler = OperandSampler::new(pmf, Encoding::TwosComplement, 16, false, 16, 1);
-        let top = (1u64 << 53) - 1;
-        for &c in cdf.iter().chain(&[0.0, 1.0]) {
-            let at = ((c * (1u64 << 53) as f64).floor() as u64).min(top);
-            for draw in [at.saturating_sub(1), at, at + 1, at + 2] {
-                let word = (draw.min(top) << 11) | (seed & 0x7FF);
-                assert_eq!(
-                    sampler.index(word),
-                    reference(&cdf, unit(word)),
-                    "cdf value {c:e}, draw {draw}"
-                );
-            }
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..draws {
-            let u: f64 = rng.clone().gen();
-            assert_eq!(sampler.sample(&mut rng), reference(&cdf, u), "u = {u:e}");
-        }
-    }
-
-    #[test]
-    fn sampler_matches_the_binary_search_when_the_cdf_rounds_off_one() {
-        // Equal weights over 9 points sum to 1 + 2⁻⁵², over 7 points to
-        // 1 − 2⁻⁵²: draws past the total must land on the last point.
-        for (n, total) in [(9u32, 1.0 + f64::EPSILON), (7, 1.0 - f64::EPSILON)] {
-            let pmf = Pmf::from_weights((0..n).map(|v| (f64::from(v), 1.0))).unwrap();
-            assert_eq!(running_sum(&pmf)[n as usize - 1], total);
-            check_sampler(&pmf, u64::from(n), 4096);
-        }
-        check_sampler(&Pmf::delta(3.0).unwrap(), 1, 64);
-    }
-
     /// `simulate_steps` event by event: every row of every column is
     /// charged. An active row draws its weight word and looks it up. A
     /// silent row draws nothing and is charged the level-0 energy of the
@@ -1010,24 +897,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
-
-        #[test]
-        fn sampler_matches_the_binary_search(
-            weights in prop::collection::vec((0u32..4, 0.0f64..1.0, 0i32..40), 1..301),
-            seed in any::<u64>(),
-        ) {
-            // A quarter of the points carry zero mass; the rest span 40
-            // decades, so some CDF steps are far below 2⁻⁵³.
-            let pairs = weights.iter().enumerate().map(|(v, &(kind, w, decades))| {
-                let mass = if kind == 0 { 0.0 } else { w * 10f64.powi(-decades) };
-                (v as f64, mass)
-            });
-            let Ok(pmf) = Pmf::from_weights(pairs) else {
-                // All-zero mass: not a distribution.
-                return;
-            };
-            check_sampler(&pmf, seed, 256);
-        }
 
         #[test]
         fn silent_rows_leave_every_bit_unchanged(

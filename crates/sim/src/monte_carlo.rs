@@ -36,7 +36,7 @@ use std::convert::Infallible;
 use cimloop_core::{par_try_map, CoreError, ValueStats};
 use cimloop_macros::ArrayMacro;
 use cimloop_noise::{AdcTransfer, NoiseSpec, SNR_CAP_DB};
-use cimloop_stats::Pmf;
+use cimloop_stats::{Pmf, Sampler};
 use cimloop_workload::{Layer, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -140,35 +140,6 @@ pub struct McRun {
     pub task_accuracy: f64,
 }
 
-/// A CDF sampler over a [`Pmf`]'s support (inverse-transform sampling).
-struct CdfSampler {
-    cdf: Vec<f64>,
-    values: Vec<f64>,
-}
-
-impl CdfSampler {
-    fn new(pmf: &Pmf) -> Self {
-        let mut cdf = Vec::with_capacity(pmf.len());
-        let mut values = Vec::with_capacity(pmf.len());
-        let mut cum = 0.0;
-        for (v, p) in pmf.iter() {
-            cum += p;
-            cdf.push(cum);
-            values.push(v);
-        }
-        CdfSampler { cdf, values }
-    }
-
-    fn sample(&self, rng: &mut StdRng) -> f64 {
-        let u: f64 = rng.gen();
-        let idx = self
-            .cdf
-            .partition_point(|&c| c < u)
-            .min(self.values.len() - 1);
-        self.values[idx]
-    }
-}
-
 /// A standard normal draw via Box-Muller. `1 − u1` lies in `(0, 1]`, so
 /// the log never sees zero and the draw is always finite — required for
 /// the zero-sigma identity (`0·∞` would poison it with NaN). Its
@@ -200,8 +171,12 @@ fn chunk_seed(seed: u64, chunk: u64, stream: u64) -> u64 {
 
 /// The fixed per-run sampling context one chunk works against.
 struct Column {
-    input: CdfSampler,
-    weight: CdfSampler,
+    /// The operand distributions: a sampler each, and the support values
+    /// its indices select.
+    input: Sampler,
+    input_values: Vec<f64>,
+    weight: Sampler,
+    weight_values: Vec<f64>,
     rows: u64,
     adc: Option<AdcTransfer>,
     /// Relative per-cell programming-variation sigma.
@@ -276,8 +251,8 @@ fn run_chunk(col: &Column, trials: u64, seed: u64, chunk: u64, inject: bool) -> 
         let mut ideal = 0.0f64;
         let mut noisy = 0.0f64;
         for _ in 0..col.rows {
-            let x = col.input.sample(&mut operands);
-            let w = col.weight.sample(&mut operands);
+            let x = col.input_values[col.input.index(operands.gen())];
+            let w = col.weight_values[col.weight.index(operands.gen())];
             let p = x * w;
             ideal += p;
             if !inject {
@@ -339,8 +314,10 @@ fn column(
 ) -> Column {
     let adc = adc_bits.map(|bits| AdcTransfer::new(full_scale, bits));
     Column {
-        input: CdfSampler::new(input_slice),
-        weight: CdfSampler::new(weight_slice),
+        input: Sampler::new(input_slice),
+        input_values: input_slice.support().to_vec(),
+        weight: Sampler::new(weight_slice),
+        weight_values: weight_slice.support().to_vec(),
         rows: rows.max(1),
         adc,
         sigma_cell: spec.cell_variation(),
@@ -398,26 +375,14 @@ pub fn mc_ideal_column_readout(
 
 /// Monte-Carlo accuracy of `layer` on `m`: derives the slice
 /// distributions, reduction width, full scale, converter resolution, and
-/// noise spec from the macro's own evaluator — the same sources the
-/// analytic analysis reads — then samples.
+/// noise spec from the macro's own (uncalibrated) evaluator — the same
+/// sources the analytic analysis reads — then samples.
 ///
 /// # Errors
 ///
 /// Propagates evaluator construction and distribution errors.
 pub fn mc_layer(m: &ArrayMacro, layer: &Layer, cfg: &McConfig) -> Result<McReadout, CoreError> {
-    let evaluator = m.evaluator()?;
-    let rep = m.representation();
-    let rows = evaluator.reduction_rows();
-    let stats = ValueStats::compute(layer, &rep, rows)?;
-    Ok(mc_column_readout(
-        stats.input_slice().pmf(),
-        stats.weight_slice().pmf(),
-        rows,
-        stats.sum_max(),
-        evaluator.output_adc_bits(),
-        &evaluator.noise(),
-        cfg,
-    ))
+    Ok(mc_layers(m, std::slice::from_ref(layer), |_| *cfg)?[0])
 }
 
 /// Monte-Carlo accuracy of a whole workload on `m`: every layer sampled
@@ -432,26 +397,13 @@ pub fn mc_workload(
     workload: &Workload,
     cfg: &McConfig,
 ) -> Result<McRun, CoreError> {
-    let evaluator = m.evaluator()?;
-    let rep = m.representation();
-    let rows = evaluator.reduction_rows();
-    let adc_bits = evaluator.output_adc_bits();
-    let spec = evaluator.noise();
-    let mut layers = Vec::with_capacity(workload.layers().len());
+    let readouts = mc_layers(m, workload.layers(), |i| {
+        cfg.with_seed(chunk_seed(cfg.seed, i, LAYER_STREAM))
+    })?;
+    let mut layers = Vec::with_capacity(readouts.len());
     let mut weighted = 0.0;
     let mut total_macs = 0u64;
-    for (i, layer) in workload.layers().iter().enumerate() {
-        let stats = ValueStats::compute(layer, &rep, rows)?;
-        let layer_cfg = cfg.with_seed(chunk_seed(cfg.seed, i as u64, LAYER_STREAM));
-        let readout = mc_column_readout(
-            stats.input_slice().pmf(),
-            stats.weight_slice().pmf(),
-            rows,
-            stats.sum_max(),
-            adc_bits,
-            &spec,
-            &layer_cfg,
-        );
+    for (layer, readout) in workload.layers().iter().zip(readouts) {
         let macs = layer.macs();
         weighted += macs as f64 * readout.task_accuracy;
         total_macs += macs;
@@ -470,6 +422,36 @@ pub fn mc_workload(
         layers,
         task_accuracy,
     })
+}
+
+/// The readouts of `layers` on `m`, layer `i` sampled with `cfg_of(i)`.
+///
+/// The reduction rows, converter resolution and noise spec come from the
+/// raw evaluator: calibration scales only energies and latencies, so a
+/// calibrated macro need not run it to give them.
+fn mc_layers(
+    m: &ArrayMacro,
+    layers: &[Layer],
+    cfg_of: impl Fn(u64) -> McConfig,
+) -> Result<Vec<McReadout>, CoreError> {
+    let evaluator = m.raw_evaluator()?;
+    let rep = m.representation();
+    let rows = evaluator.reduction_rows();
+    let (adc_bits, spec) = (evaluator.output_adc_bits(), evaluator.noise());
+    let mut readouts = Vec::with_capacity(layers.len());
+    for (layer, i) in layers.iter().zip(0..) {
+        let stats = ValueStats::compute(layer, &rep, rows)?;
+        readouts.push(mc_column_readout(
+            stats.input_slice().pmf(),
+            stats.weight_slice().pmf(),
+            rows,
+            stats.sum_max(),
+            adc_bits,
+            &spec,
+            &cfg_of(i),
+        ));
+    }
+    Ok(readouts)
 }
 
 #[cfg(test)]
@@ -542,6 +524,51 @@ mod tests {
             let n = normal(&mut rng);
             assert!(n.is_finite());
             assert!(n.abs() < 10.0, "implausible normal draw {n}");
+        }
+    }
+
+    #[test]
+    fn mc_layer_and_mc_workload_agree_with_and_without_calibration() {
+        let net = cimloop_workload::models::resnet18();
+        let workload = Workload::new(
+            "two",
+            vec![net.layers()[0].clone(), net.layers()[20].clone()],
+        )
+        .unwrap();
+        let cfg = McConfig::new(512).with_seed(3);
+        let bits = |r: &McReadout| {
+            [
+                r.signal_power,
+                r.noise_power,
+                r.snr_db,
+                r.enob,
+                r.error_rms,
+                r.task_accuracy,
+            ]
+            .map(f64::to_bits)
+        };
+        // Calibrated first, then raw.
+        let runs: Vec<McRun> = [
+            cimloop_macros::base_macro(),
+            cimloop_macros::base_macro().uncalibrated(),
+        ]
+        .iter()
+        .map(|m| {
+            let run = mc_workload(m, &workload, &cfg).unwrap();
+            for (i, (layer, sampled)) in workload.layers().iter().zip(&run.layers).enumerate() {
+                let layer_cfg = cfg.with_seed(chunk_seed(cfg.seed, i as u64, LAYER_STREAM));
+                let alone = mc_layer(m, layer, &layer_cfg).unwrap();
+                assert_eq!(bits(&alone), bits(&sampled.readout), "{}", layer.name());
+            }
+            run
+        })
+        .collect();
+        assert_eq!(
+            runs[0].task_accuracy.to_bits(),
+            runs[1].task_accuracy.to_bits()
+        );
+        for (c, r) in runs[0].layers.iter().zip(&runs[1].layers) {
+            assert_eq!(bits(&c.readout), bits(&r.readout), "{}", c.name);
         }
     }
 

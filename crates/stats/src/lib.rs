@@ -10,6 +10,8 @@
 //!
 //! - [`Pmf`] — a discrete distribution over `f64` values with the moment,
 //!   transformation, and combination operations the pipeline needs.
+//! - [`Sampler`] — inverse-transform sampling of a [`Pmf`] from the
+//!   caller's random words, for the pipeline's sampled engines.
 //! - [`BitStats`] — bit-level statistics (per-bit one-probability, expected
 //!   Hamming weight, switching activity) used by switching-energy models such
 //!   as capacitive DACs and digital logic.
@@ -37,7 +39,9 @@
 mod bits;
 mod error;
 mod pmf;
+mod sampler;
 
 pub use bits::{switching_probability, BitStats};
 pub use error::StatsError;
 pub use pmf::Pmf;
+pub use sampler::Sampler;

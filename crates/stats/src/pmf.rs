@@ -458,23 +458,6 @@ impl Pmf {
         self.map(|v| v.clamp(lo, hi))
     }
 
-    /// Inverse-CDF lookup: returns the support value at cumulative
-    /// probability `u`, where `u` is in `[0, 1)`.
-    ///
-    /// This lets callers sample the distribution with their own uniform
-    /// random source without this crate depending on an RNG.
-    pub fn icdf(&self, u: f64) -> f64 {
-        let u = u.clamp(0.0, 1.0 - f64::EPSILON);
-        let mut cum = 0.0;
-        for (v, p) in self.iter() {
-            cum += p;
-            if u < cum {
-                return v;
-            }
-        }
-        self.max()
-    }
-
     /// Total variation distance to another distribution:
     /// `0.5 * Σ |p(v) − q(v)|` over the union of supports.
     pub fn total_variation(&self, other: &Pmf) -> f64 {
@@ -771,14 +754,6 @@ mod tests {
     fn coarsen_noop_when_small() {
         let pmf = Pmf::uniform_ints(0, 3).unwrap();
         assert_eq!(pmf.coarsen(10), pmf);
-    }
-
-    #[test]
-    fn icdf_walks_cdf() {
-        let pmf = Pmf::from_weights(vec![(1.0, 0.25), (2.0, 0.5), (3.0, 0.25)]).unwrap();
-        assert_eq!(pmf.icdf(0.0), 1.0);
-        assert_eq!(pmf.icdf(0.3), 2.0);
-        assert_eq!(pmf.icdf(0.99), 3.0);
     }
 
     #[test]

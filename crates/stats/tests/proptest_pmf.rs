@@ -365,12 +365,6 @@ proptest! {
     }
 
     #[test]
-    fn icdf_returns_support_values(pmf in arb_pmf(), u in 0.0f64..1.0) {
-        let v = pmf.icdf(u);
-        prop_assert!(pmf.support().contains(&v));
-    }
-
-    #[test]
     fn hamming_weight_bounded_by_width(pmf in arb_pmf(), bits in 1u32..16) {
         let nonneg = pmf.map(|v| v.abs());
         let stats = BitStats::from_pmf(&nonneg, bits).unwrap();

@@ -1,4 +1,4 @@
-use cimloop_stats::Pmf;
+use cimloop_stats::{Pmf, Sampler};
 use rand::Rng;
 
 use crate::WorkloadError;
@@ -113,10 +113,9 @@ impl ValueProfile {
         }
     }
 
-    /// Draws `count` i.i.d. operand values using the caller's RNG.
-    ///
-    /// Used by the value-exact simulator to materialize tensors from the
-    /// same distribution the statistical model sees.
+    /// Draws `count` i.i.d. operand values using the caller's RNG, one
+    /// word per value through a [`Sampler`] over [`Self::pmf`]: tensors
+    /// from the same distribution the statistical model sees.
     ///
     /// # Errors
     ///
@@ -129,8 +128,9 @@ impl ValueProfile {
         count: usize,
     ) -> Result<Vec<i64>, WorkloadError> {
         let pmf = self.pmf(bits, signed)?;
+        let sampler = Sampler::new(&pmf);
         Ok((0..count)
-            .map(|_| pmf.icdf(rng.gen::<f64>()) as i64)
+            .map(|_| pmf.support()[sampler.index(rng.gen())] as i64)
             .collect())
     }
 }
