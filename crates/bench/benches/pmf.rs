@@ -7,7 +7,7 @@ use std::hint::black_box;
 
 use cimloop_core::{Pipeline, Representation, ValueStats};
 use cimloop_macros::{base_macro, macro_c};
-use cimloop_stats::{BitStats, Pmf};
+use cimloop_stats::{BitStats, Pmf, Rung};
 use cimloop_workload::models;
 
 fn pmf_operations(c: &mut Criterion) {
@@ -50,6 +50,14 @@ fn pmf_operations(c: &mut Criterion) {
                 |b, pmf| b.iter(|| black_box(pmf.convolve_n(black_box(rows), 512))),
             );
         }
+        // The 512-row sum as the stats level fills it when the 128-row
+        // sum is held: two squarings on from the 128-row rung, not nine.
+        let (_, rung) = Rung::base(product).climb(128, 512).expect("1 divides 128");
+        group.bench_with_input(
+            BenchmarkId::new(format!("convolve_n_macro_c_dac{dac}"), "512_from_128"),
+            &rung,
+            |b, rung| b.iter(|| black_box(rung.clone().climb(black_box(512), 512))),
+        );
     }
     let bytes = Pmf::uniform_ints(0, 255).expect("range");
     group.bench_function("bit_stats_8b", |b| {

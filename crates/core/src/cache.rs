@@ -114,7 +114,10 @@ impl TableSignature {
 /// topology, cell technology, process node, or column count (but agree on
 /// reduction width and representation) share one bit-identical
 /// [`ValueStats`]. This is the cross-design amortization a design-space
-/// exploration leans on.
+/// exploration leans on. Signatures that differ only in a width that
+/// divides the other's by a power of two also share work, though not an
+/// entry: [`EnergyTableCache::value_stats`] continues the narrower
+/// entry's squaring ladder.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StatsSignature {
     reduction_rows: u64,
@@ -359,6 +362,16 @@ impl<K: Eq + Hash + Clone, V> Level<K, V> {
         Ok(shared)
     }
 
+    /// The entry for `key` if the level holds one, without counting a hit
+    /// or stamping the clock: a peek leaves eviction order and the
+    /// counters as they were.
+    fn peek(&self, key: &K) -> Option<Arc<V>> {
+        self.locked()
+            .map
+            .get(key)
+            .map(|slot| Arc::clone(&slot.value))
+    }
+
     fn len(&self) -> usize {
         self.locked().map.len()
     }
@@ -387,7 +400,9 @@ impl<K: Eq + Hash + Clone, V> Level<K, V> {
 ///   the expensive hierarchy-independent statistics (encoded streams and
 ///   the column-sum convolution) across *different* hierarchies — i.e.
 ///   across the evaluators of a design-space sweep — whenever their
-///   reduction widths agree.
+///   reduction widths agree. A miss filled through [`Self::value_stats`]
+///   continues the squaring ladder of the same values at half, a quarter,
+///   … of its width when the level holds one, sharing its streams.
 ///
 /// Entries are handed out as [`Arc`]s so concurrent layer evaluations share
 /// one allocation. Each level holds at most its configured entry-count
@@ -452,6 +467,43 @@ impl EnergyTableCache {
         compute: impl FnOnce() -> Result<ValueStats, CoreError>,
     ) -> Result<Arc<ValueStats>, CoreError> {
         self.stats.get_or_try_insert_with(signature, compute)
+    }
+
+    /// The statistics of `layer` under `rep` at `reduction_rows`, from
+    /// the stats level: the fill path the evaluator's table misses take.
+    ///
+    /// On a miss it first peeks at the same value signature at half,
+    /// a quarter, … of the width while the width is even, and continues
+    /// the squaring ladder of the first entry whose last rung divides the
+    /// width, sharing its streams, instead of computing from the slice
+    /// product. A peek counts no hit,
+    /// refreshes no entry and inserts nothing, and a resumed entry is
+    /// bit-identical to a computed one, so entries and counters are what
+    /// [`Self::stats_or_try_insert_with`] with [`ValueStats::compute`]
+    /// gives; only the time a miss takes depends on what the level holds.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`ValueStats::compute`] errors; nothing is inserted on
+    /// failure.
+    pub fn value_stats(
+        &self,
+        layer: &Layer,
+        rep: &Representation,
+        reduction_rows: u64,
+    ) -> Result<Arc<ValueStats>, CoreError> {
+        let signature = StatsSignature::new(reduction_rows, layer, rep);
+        self.stats.get_or_try_insert_with(signature, || {
+            let mut width = reduction_rows;
+            while width > 1 && width % 2 == 0 {
+                width /= 2;
+                let narrower = self.stats.peek(&StatsSignature::new(width, layer, rep));
+                if let Some(stats) = narrower.and_then(|s| s.resume(reduction_rows)) {
+                    return Ok(stats);
+                }
+            }
+            ValueStats::compute(layer, rep, reduction_rows)
+        })
     }
 
     /// Number of distinct tables held.

@@ -21,11 +21,8 @@ use cimloop_noise::{NoiseReport, NoiseSpec};
 use cimloop_spec::{Hierarchy, Reuse, Tensor};
 use cimloop_workload::{Layer, Shape, Workload};
 
-use crate::pipeline::{reduction_rows_of, ValueStats};
-use crate::{
-    par_try_map, CoreError, EnergyTableCache, Pipeline, Representation, StatsSignature,
-    TableSignature,
-};
+use crate::pipeline::reduction_rows_of;
+use crate::{par_try_map, CoreError, EnergyTableCache, Pipeline, Representation, TableSignature};
 
 /// Per-action energies for one component and tensor, joules.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -700,10 +697,12 @@ impl Evaluator {
     /// levels: the finished table is computed at most once per distinct
     /// [`TableSignature`] and shared (bit-identically) by every layer with
     /// the same signature, and on a table miss the hierarchy-independent
-    /// [`ValueStats`] (the dominant cost) are themselves served from the
-    /// cache's stats level — so evaluators of *different* hierarchies with
-    /// equal reduction widths (e.g. the candidate designs of a sweep)
-    /// amortize the column-sum convolution across each other.
+    /// [`crate::ValueStats`] (the dominant cost) are themselves served
+    /// from the cache's stats level ([`EnergyTableCache::value_stats`]) —
+    /// so evaluators of *different* hierarchies with equal reduction widths
+    /// (e.g. the candidate designs of a sweep) amortize the column-sum
+    /// convolution across each other, and a width twice or four times one
+    /// already held continues its squaring ladder.
     ///
     /// # Errors
     ///
@@ -715,10 +714,7 @@ impl Evaluator {
         cache: &EnergyTableCache,
     ) -> Result<Arc<ActionEnergyTable>, CoreError> {
         cache.get_or_try_insert_with(self.table_signature(layer, rep), || {
-            let stats = cache.stats_or_try_insert_with(
-                StatsSignature::new(self.reduction_rows, layer, rep),
-                || ValueStats::compute(layer, rep, self.reduction_rows),
-            )?;
+            let stats = cache.value_stats(layer, rep, self.reduction_rows)?;
             let pipeline = Pipeline::from_stats(&self.hierarchy, stats);
             Ok(self.table_from_pipeline(&pipeline))
         })

@@ -94,7 +94,7 @@ pub use evaluator::{
     ActionEnergyTable, AreaReport, CheapMetrics, ComponentReport, Evaluator, LayerReport, RunReport,
 };
 pub use parallel::par_try_map;
-pub use pipeline::{reduction_rows_of, Pipeline, ValueStats};
+pub use pipeline::{reduction_rows_of, OperandStats, Pipeline, ValueStats};
 pub use representation::Representation;
 
 // The converter widths the circuit models accept: spec schemas check

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use cimloop_circuits::ValueContext;
 use cimloop_noise::{NoiseAnalysis, NoiseSpec};
 use cimloop_spec::{Component, Hierarchy, Reuse, Tensor};
-use cimloop_stats::Pmf;
+use cimloop_stats::{Pmf, Rung};
 use cimloop_workload::Layer;
 
 use crate::{CoreError, EncodedStream, Representation};
@@ -59,19 +59,20 @@ pub fn reduction_rows_of(hierarchy: &Hierarchy) -> u64 {
 /// is what makes cross-design amortization in a design-space exploration
 /// sound. The column-sum convolution dominates the whole evaluation cost,
 /// so sharing it is where network- and sweep-scale speedups come from.
+///
+/// The width-independent half ([`OperandStats`]) sits behind one [`Arc`],
+/// and the column sum keeps the last [`Rung`] of its squaring ladder. A
+/// wider reduction that the rung's width divides continues that ladder,
+/// sharing the half ([`crate::EnergyTableCache::value_stats`]), so
+/// designs whose widths differ by a power of two (128 and 512 rows)
+/// share the ladder too.
 #[derive(Debug, Clone)]
 pub struct ValueStats {
-    input_word: EncodedStream,
-    weight_word: EncodedStream,
-    input_slice: EncodedStream,
-    weight_slice: EncodedStream,
+    operands: Arc<OperandStats>,
     /// Raw (unnormalized) column-sum distribution over `reduction_rows`.
     sum: Pmf,
-    /// The largest possible column sum (normalization full scale).
-    sum_max: f64,
-    /// `E[p²]` of one slice-granular product — what one cell contributes
-    /// to the column sum; programming-variation noise scales with it.
-    product_sq_mean: f64,
+    /// The last rung of the ladder `sum` was summed from.
+    rung: Rung,
     reduction_rows: u64,
 }
 
@@ -80,8 +81,9 @@ impl ValueStats {
     /// output-reduction width is `reduction_rows`.
     ///
     /// This is the single code path for these values: cached and uncached
-    /// evaluations both call it, so shared statistics are bit-identical to
-    /// freshly computed ones.
+    /// evaluations both call it, and a resumed ladder takes the same steps
+    /// from a narrower width's rung, so shared statistics are
+    /// bit-identical to freshly computed ones.
     ///
     /// # Errors
     ///
@@ -91,42 +93,33 @@ impl ValueStats {
         rep: &Representation,
         reduction_rows: u64,
     ) -> Result<Self, CoreError> {
-        let input_encoded = rep.input_encoding().encode(
-            &layer.input_pmf()?,
-            layer.input_bits(),
-            layer.input_signed(),
-        )?;
-        let weight_encoded = rep.weight_encoding().encode(
-            &layer.weight_pmf()?,
-            layer.weight_bits(),
-            layer.weight_signed(),
-        )?;
-        let input_word = input_encoded.mixed();
-        let weight_word = weight_encoded.mixed();
-        let input_slice = input_word.average_slice(rep.dac_bits());
-        let weight_slice = weight_word.average_slice(rep.cell_bits());
+        let (operands, product) = OperandStats::with_product(layer, rep)?;
+        let stats = Self::climb(Arc::new(operands), Rung::base(product), reduction_rows);
+        Ok(stats.expect("rung 0's width, 1, divides every reduction width"))
+    }
 
+    /// The statistics at `reduction_rows`, climbing on from this column
+    /// sum's last rung and sharing its [`OperandStats`]: bit-identical to
+    /// [`Self::compute`] at that width, at the cost of only the squarings
+    /// past this rung. `None` when the rung's width does not divide
+    /// `reduction_rows` (at 96 rows the last rung sums 64, so 192 rows
+    /// resume from it and 160 do not).
+    pub(crate) fn resume(&self, reduction_rows: u64) -> Option<Self> {
+        Self::climb(
+            Arc::clone(&self.operands),
+            self.rung.clone(),
+            reduction_rows,
+        )
+    }
+
+    fn climb(operands: Arc<OperandStats>, rung: Rung, reduction_rows: u64) -> Option<Self> {
         let reduction_rows = reduction_rows.max(1);
-
-        // Distribution of one slice-granular analog MAC product, then of
-        // the column sum over the reduction rows.
-        let product = input_slice
-            .pmf()
-            .product(weight_slice.pmf())
-            .coarsen(SUM_SUPPORT);
-        let product_sq_mean = product.second_moment();
-        let sum = product.convolve_n(reduction_rows, SUM_SUPPORT);
-        let sum_max =
-            (slice_max(rep.dac_bits()) * slice_max(rep.cell_bits())) * reduction_rows as f64;
-
-        Ok(ValueStats {
-            input_word,
-            weight_word,
-            input_slice,
-            weight_slice,
+        // The column sum: the slice product summed over the reduction rows.
+        let (sum, rung) = rung.climb(reduction_rows, SUM_SUPPORT)?;
+        Some(ValueStats {
+            operands,
             sum,
-            sum_max,
-            product_sq_mean,
+            rung,
             reduction_rows,
         })
     }
@@ -145,13 +138,87 @@ impl ValueStats {
     /// The largest possible raw column sum (the normalization and ADC
     /// full scale).
     pub fn sum_max(&self) -> f64 {
-        self.sum_max
+        self.operands.sum_max(self.reduction_rows)
     }
 
     /// `E[p²]` of one slice-granular analog product (one cell's
     /// contribution to the column sum).
     pub fn product_second_moment(&self) -> f64 {
-        self.product_sq_mean
+        self.operands.product_sq_mean
+    }
+
+    /// Average input slice stream (what a DAC drives onto one row).
+    pub fn input_slice(&self) -> &EncodedStream {
+        &self.operands.input_slice
+    }
+
+    /// Average weight slice stream (what one cell stores).
+    pub fn weight_slice(&self) -> &EncodedStream {
+        &self.operands.weight_slice
+    }
+}
+
+/// The half of [`ValueStats`] that no reduction width changes: the
+/// operands' encoded word and slice streams, and what one row's slice
+/// product contributes to a column sum.
+#[derive(Debug)]
+pub struct OperandStats {
+    input_word: EncodedStream,
+    weight_word: EncodedStream,
+    input_slice: EncodedStream,
+    weight_slice: EncodedStream,
+    /// `E[p²]` of one slice-granular product — what one cell contributes
+    /// to the column sum; programming-variation noise scales with it.
+    product_sq_mean: f64,
+    /// The largest slice product: one row's share of the full scale.
+    row_max: f64,
+}
+
+impl OperandStats {
+    /// Encodes and slices `layer`'s operands under `rep`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates distribution and encoding errors.
+    pub fn new(layer: &Layer, rep: &Representation) -> Result<Self, CoreError> {
+        Ok(Self::with_product(layer, rep)?.0)
+    }
+
+    /// [`Self::new`], and the distribution of one slice-granular analog
+    /// MAC product: the base of the column sum's ladder.
+    fn with_product(layer: &Layer, rep: &Representation) -> Result<(Self, Pmf), CoreError> {
+        let input_encoded = rep.input_encoding().encode(
+            &layer.input_pmf()?,
+            layer.input_bits(),
+            layer.input_signed(),
+        )?;
+        let weight_encoded = rep.weight_encoding().encode(
+            &layer.weight_pmf()?,
+            layer.weight_bits(),
+            layer.weight_signed(),
+        )?;
+        let input_word = input_encoded.mixed();
+        let weight_word = weight_encoded.mixed();
+        let input_slice = input_word.average_slice(rep.dac_bits());
+        let weight_slice = weight_word.average_slice(rep.cell_bits());
+        let product = input_slice
+            .pmf()
+            .product(weight_slice.pmf())
+            .coarsen(SUM_SUPPORT);
+        let operands = OperandStats {
+            input_word,
+            weight_word,
+            input_slice,
+            weight_slice,
+            product_sq_mean: product.second_moment(),
+            row_max: slice_max(rep.dac_bits()) * slice_max(rep.cell_bits()),
+        };
+        Ok((operands, product))
+    }
+
+    /// The largest possible raw column sum over `reduction_rows` rows.
+    pub fn sum_max(&self, reduction_rows: u64) -> f64 {
+        self.row_max * reduction_rows as f64
     }
 
     /// Average input slice stream (what a DAC drives onto one row).
@@ -201,13 +268,13 @@ impl Pipeline {
                 let bits = output_bits(component);
                 sums_by_bits
                     .entry(bits)
-                    .or_insert_with(|| normalize_sum(&stats.sum, stats.sum_max, bits));
+                    .or_insert_with(|| normalize_sum(&stats.sum, stats.sum_max(), bits));
             }
         }
         // Always provide an 8-bit view for callers outside the hierarchy.
         sums_by_bits
             .entry(8)
-            .or_insert_with(|| normalize_sum(&stats.sum, stats.sum_max, 8));
+            .or_insert_with(|| normalize_sum(&stats.sum, stats.sum_max(), 8));
 
         Pipeline {
             stats,
@@ -222,22 +289,22 @@ impl Pipeline {
 
     /// Word-level encoded input stream.
     pub fn input_word(&self) -> &EncodedStream {
-        &self.stats.input_word
+        &self.stats.operands.input_word
     }
 
     /// Word-level encoded weight stream.
     pub fn weight_word(&self) -> &EncodedStream {
-        &self.stats.weight_word
+        &self.stats.operands.weight_word
     }
 
     /// Average input slice stream (what a DAC sees).
     pub fn input_slice(&self) -> &EncodedStream {
-        &self.stats.input_slice
+        self.stats.input_slice()
     }
 
     /// Average weight slice stream (what a cell stores).
     pub fn weight_slice(&self) -> &EncodedStream {
-        &self.stats.weight_slice
+        self.stats.weight_slice()
     }
 
     /// The column-sum distribution normalized to `bits` (what an ADC of
@@ -264,9 +331,9 @@ impl Pipeline {
         let stats = &*self.stats;
         NoiseAnalysis::analyze(
             &stats.sum,
-            stats.sum_max,
+            stats.sum_max(),
             stats.reduction_rows,
-            stats.product_sq_mean,
+            stats.product_second_moment(),
             adc_bits,
             spec,
         )
@@ -275,7 +342,7 @@ impl Pipeline {
     /// The value context `component` sees when acting on `tensor`
     /// (paper §III-C1c: each component uses the distributions differently).
     pub fn context_for(&self, component: &Component, tensor: Tensor) -> ValueContext<'_> {
-        let stats = &*self.stats;
+        let stats = &*self.stats.operands;
         match tensor {
             Tensor::Inputs => {
                 if is_word_storage(component) {
@@ -467,6 +534,60 @@ mod tests {
         // Digital readout with an ideal spec has zero output error.
         let digital = p.noise_analysis(&NoiseSpec::ideal(), None);
         assert_eq!(digital.noise_power(), 0.0);
+    }
+
+    /// Every value `stats` hands out, as bits.
+    fn bits(stats: &ValueStats) -> Vec<u64> {
+        let pmfs = [
+            stats.sum(),
+            stats.input_slice().pmf(),
+            stats.weight_slice().pmf(),
+        ];
+        let points = pmfs.into_iter().flat_map(|pmf| pmf.iter());
+        points
+            .flat_map(|(v, p)| [v.to_bits(), p.to_bits()])
+            .chain([stats.sum_max(), stats.product_second_moment()].map(f64::to_bits))
+            .collect()
+    }
+
+    #[test]
+    fn a_miss_resumes_the_ladder_of_a_narrower_width() {
+        let (l, r) = (layer(), rep());
+        let cache = crate::EnergyTableCache::new();
+        let narrow = cache.value_stats(&l, &r, 128).unwrap();
+        let wide = cache.value_stats(&l, &r, 512).unwrap();
+        assert!(
+            Arc::ptr_eq(&narrow.operands, &wide.operands),
+            "512 rows continue the 128-row ladder"
+        );
+        assert_eq!(
+            bits(&wide),
+            bits(&ValueStats::compute(&l, &r, 512).unwrap())
+        );
+        // The peek at 256 rows and the resume count no hit.
+        assert_eq!((cache.stats_hits(), cache.stats_misses()), (0, 2));
+    }
+
+    #[test]
+    fn a_miss_resumes_only_a_rung_that_divides_its_width() {
+        let (l, r) = (layer(), rep());
+        // 80 rows end their ladder at rung 6 (64 rows), which 160 rows
+        // never pass: 160 computes afresh.
+        let cache = crate::EnergyTableCache::new();
+        let eighty = cache.value_stats(&l, &r, 80).unwrap();
+        let fresh = cache.value_stats(&l, &r, 160).unwrap();
+        assert!(!Arc::ptr_eq(&eighty.operands, &fresh.operands));
+        assert_eq!(
+            bits(&fresh),
+            bits(&ValueStats::compute(&l, &r, 160).unwrap())
+        );
+        // With 40 rows (rung 5, 32 rows) held too, 160 resumes from 40.
+        let cache = crate::EnergyTableCache::new();
+        cache.value_stats(&l, &r, 80).unwrap();
+        let forty = cache.value_stats(&l, &r, 40).unwrap();
+        let resumed = cache.value_stats(&l, &r, 160).unwrap();
+        assert!(Arc::ptr_eq(&forty.operands, &resumed.operands));
+        assert_eq!(bits(&resumed), bits(&fresh));
     }
 
     #[test]

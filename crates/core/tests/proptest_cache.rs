@@ -5,6 +5,8 @@
 //! eviction policy must be *invisible* to results: whatever sequence of
 //! lookups runs against whatever capacity, every returned entry must be
 //! bit-identical to a fresh, uncached computation of the same signature.
+//! The same holds where a miss resumes the squaring ladder of a narrower
+//! width's entry, whether or not that entry is still held.
 
 use std::sync::Arc;
 
@@ -14,14 +16,17 @@ use proptest::prelude::*;
 
 /// A tiny universe of distinct value signatures: layers that differ in
 /// input precision and value profile, statistics that differ in reduction
-/// width. Small shapes keep each compute cheap; distinctness keeps the
-/// cache churning.
+/// width (one signature at 16, 32, 64 and 128 rows, each width a rung of
+/// the next one's ladder). Small shapes keep each compute cheap;
+/// distinctness keeps the cache churning.
 fn universe() -> Vec<(Layer, Representation, u64)> {
     let rep = Representation::new(Encoding::TwosComplement, Encoding::Offset, 1, 4).unwrap();
     let base = Layer::new("l", LayerKind::Linear, Shape::linear(4, 16, 32).unwrap());
     vec![
         (base.clone(), rep, 16),
+        (base.clone(), rep, 32),
         (base.clone(), rep, 64),
+        (base.clone(), rep, 128),
         (base.clone().with_input_bits(4), rep, 16),
         (
             base.clone()
@@ -34,19 +39,29 @@ fn universe() -> Vec<(Layer, Representation, u64)> {
     ]
 }
 
+/// Every value a stats entry hands out; `{:?}` prints each `f64` so that
+/// it reads back to the same bits.
 fn fingerprint(stats: &ValueStats) -> String {
-    format!("{:?}", stats.sum())
+    format!(
+        "{:?} {:?} {:?} {:?} {:?}",
+        stats.sum(),
+        stats.sum_max(),
+        stats.product_second_moment(),
+        stats.input_slice(),
+        stats.weight_slice()
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any lookup sequence against any capacity returns exactly what an
-    /// unbounded cache (and a fresh compute) returns, while the occupancy
-    /// never exceeds the cap.
+    /// Any lookup sequence against any capacity, through the library's
+    /// fill path, returns exactly what an unbounded cache filled by
+    /// `ValueStats::compute` (and a fresh compute) returns, while the
+    /// occupancy never exceeds the cap.
     #[test]
     fn eviction_changes_timing_never_results(
-        lookups in prop::collection::vec(0usize..6, 1..40),
+        lookups in prop::collection::vec(0usize..8, 1..40),
         capacity in 0usize..4,
     ) {
         let keys = universe();
@@ -55,10 +70,10 @@ proptest! {
         for &i in &lookups {
             let (layer, rep, rows) = &keys[i];
             let compute = || ValueStats::compute(layer, rep, *rows);
-            let sig = || StatsSignature::new(*rows, layer, rep);
-            let from_bounded: Arc<ValueStats> =
-                bounded.stats_or_try_insert_with(sig(), compute).unwrap();
-            let from_unbounded = unbounded.stats_or_try_insert_with(sig(), compute).unwrap();
+            let from_bounded: Arc<ValueStats> = bounded.value_stats(layer, rep, *rows).unwrap();
+            let from_unbounded = unbounded
+                .stats_or_try_insert_with(StatsSignature::new(*rows, layer, rep), compute)
+                .unwrap();
             let fresh = compute().unwrap();
             prop_assert_eq!(fingerprint(&from_bounded), fingerprint(&from_unbounded));
             prop_assert_eq!(fingerprint(&from_bounded), fingerprint(&fresh));

@@ -33,7 +33,7 @@
 
 use std::convert::Infallible;
 
-use cimloop_core::{par_try_map, CoreError, ValueStats};
+use cimloop_core::{par_try_map, CoreError, OperandStats};
 use cimloop_macros::ArrayMacro;
 use cimloop_noise::{AdcTransfer, NoiseSpec, SNR_CAP_DB};
 use cimloop_stats::{Pmf, Sampler};
@@ -428,7 +428,9 @@ pub fn mc_workload(
 ///
 /// The reduction rows, converter resolution and noise spec come from the
 /// raw evaluator: calibration scales only energies and latencies, so a
-/// calibrated macro need not run it to give them.
+/// calibrated macro need not run it to give them. The engine samples the
+/// column sum itself, so it takes only the operand half of the value
+/// statistics and never convolves the analytic sum.
 fn mc_layers(
     m: &ArrayMacro,
     layers: &[Layer],
@@ -440,12 +442,12 @@ fn mc_layers(
     let (adc_bits, spec) = (evaluator.output_adc_bits(), evaluator.noise());
     let mut readouts = Vec::with_capacity(layers.len());
     for (layer, i) in layers.iter().zip(0..) {
-        let stats = ValueStats::compute(layer, &rep, rows)?;
+        let operands = OperandStats::new(layer, &rep)?;
         readouts.push(mc_column_readout(
-            stats.input_slice().pmf(),
-            stats.weight_slice().pmf(),
+            operands.input_slice().pmf(),
+            operands.weight_slice().pmf(),
             rows,
-            stats.sum_max(),
+            operands.sum_max(rows),
             adc_bits,
             &spec,
             &cfg_of(i),

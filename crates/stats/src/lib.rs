@@ -10,6 +10,8 @@
 //!
 //! - [`Pmf`] — a discrete distribution over `f64` values with the moment,
 //!   transformation, and combination operations the pipeline needs.
+//! - [`Rung`] — a rung of [`Pmf::convolve_n`]'s squaring ladder, from
+//!   which sums over any count it divides continue.
 //! - [`Sampler`] — inverse-transform sampling of a [`Pmf`] from the
 //!   caller's random words, for the pipeline's sampled engines.
 //! - [`BitStats`] — bit-level statistics (per-bit one-probability, expected
@@ -43,5 +45,5 @@ mod sampler;
 
 pub use bits::{switching_probability, BitStats};
 pub use error::StatsError;
-pub use pmf::Pmf;
+pub use pmf::{Pmf, Rung};
 pub use sampler::Sampler;

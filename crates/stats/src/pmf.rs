@@ -348,53 +348,12 @@ impl Pmf {
 
     /// Distribution of the sum of `n` independent draws from this
     /// distribution, by binary exponentiation (`O(log n)` convolution
-    /// steps).
-    ///
-    /// With `max_support > 0`, every step's result has at most
-    /// `max_support` points, binned as [`Self::coarsen`] bins them, so
-    /// the mean is exact up to rounding. A step whose operands `a` and `b`
-    /// satisfy `a.len() + b.len() - 1 <= max_support` is
-    /// [`Self::convolve`] (its dense step on integer supports) then
-    /// [`Self::coarsen`]. Any other step is certain to exceed the cap (a
-    /// sum of two sets has at least `|A| + |B| - 1` values), so it bins
-    /// each of its `a.len() * b.len()` pairs straight into `coarsen`'s
-    /// bins over `[a.min() + b.min(), a.max() + b.max()]`, with no pair
-    /// vector and no sort. It works one row of `a` at a time: first the
-    /// bin and contribution of each of the row's pairs, then the additions
-    /// into the bins, in pair order. Every bin sees the same additions in
-    /// the same order as binning pair by pair, so the result is the same
-    /// to the bit.
-    ///
-    /// With `max_support == 0` intermediate supports are not capped, but
-    /// each step is still a [`Self::convolve`], which coarsens operands
-    /// whose pair count would exceed its ~262k-pair budget.
+    /// steps): [`Rung::climb`] from this distribution, rung 0.
     pub fn convolve_n(&self, n: u64, max_support: usize) -> Self {
-        let step = |a: &Pmf, b: &Pmf| {
-            if max_support == 0 {
-                a.convolve(b)
-            } else if a.len() + b.len() - 1 <= max_support {
-                a.convolve(b).coarsen(max_support)
-            } else {
-                let mut bins = Bins::new(a.min() + b.min(), a.max() + b.max(), max_support);
-                for (v1, p1) in a.iter() {
-                    bins.add_row(v1, p1, b);
-                }
-                bins.into_pmf()
-            }
-        };
-        let mut result = Pmf::delta(0.0).expect("0.0 is finite");
-        let mut base = self.clone();
-        let mut k = n;
-        while k > 0 {
-            if k & 1 == 1 {
-                result = step(&result, &base);
-            }
-            k >>= 1;
-            if k > 0 {
-                base = step(&base, &base);
-            }
-        }
-        result
+        let (sum, _) = Rung::base(self.clone())
+            .climb(n, max_support)
+            .expect("rung 0's width, 1, divides every n");
+        sum
     }
 
     /// Distribution of `X * Y` for independent `X` (self) and `Y` (other).
@@ -431,14 +390,10 @@ impl Pmf {
     /// (exactly, up to rounding): each bin is represented by its
     /// probability-weighted centroid.
     ///
-    /// Returns `self` unchanged if the support is already small enough.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
+    /// Returns `self` unchanged if the support is already small enough,
+    /// or if `n == 0`, which means no cap (as in [`Rung::climb`]).
     pub fn coarsen(&self, n: usize) -> Self {
-        assert!(n > 0, "coarsen target must be positive");
-        if self.len() <= n {
+        if n == 0 || self.len() <= n {
             return self.clone();
         }
         let mut bins = Bins::new(self.min(), self.max(), n);
@@ -486,6 +441,119 @@ impl Pmf {
             }
         }
         dist / 2.0
+    }
+}
+
+/// A rung of [`Pmf::convolve_n`]'s squaring ladder: the sum of `2^k`
+/// independent draws from a base distribution, reached from it by `k`
+/// squarings.
+///
+/// Sums of one base distribution over different counts share the ladder's
+/// rungs: `convolve_n(n)` climbs past rung `k` for every `n >= 2^k`, and
+/// [`Self::climb`] from a rung takes the steps that follow it in the
+/// ladder of any `n` it divides, so the sum is the same to the bit.
+///
+/// # Example
+///
+/// ```
+/// use cimloop_stats::{Pmf, Rung};
+///
+/// # fn main() -> Result<(), cimloop_stats::StatsError> {
+/// let bit = Pmf::from_weights(vec![(0.0, 3.0), (1.0, 1.0)])?;
+/// let (over_128, rung) = Rung::base(bit.clone()).climb(128, 64).expect("1 divides 128");
+/// assert_eq!(over_128, bit.convolve_n(128, 64));
+/// assert_eq!(rung.width(), 128);
+/// // 128 does not divide 192, so no ladder of 192 passes rung 7.
+/// assert!(rung.clone().climb(192, 64).is_none());
+/// // 512 rows continue from rung 7: two squarings instead of nine.
+/// let (over_512, _) = rung.climb(512, 64).expect("128 divides 512");
+/// assert_eq!(over_512, bit.convolve_n(512, 64));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct Rung {
+    /// Squarings taken from the base distribution; at most 63, as every
+    /// rung's width fits in a `u64` count.
+    k: u32,
+    pmf: Pmf,
+}
+
+impl Rung {
+    /// Rung 0: the base distribution itself.
+    pub fn base(pmf: Pmf) -> Self {
+        Rung { k: 0, pmf }
+    }
+
+    /// How many draws of the base distribution the rung sums: `2^k`.
+    pub fn width(&self) -> u64 {
+        1 << self.k
+    }
+
+    /// The rung's distribution.
+    pub fn pmf(&self) -> &Pmf {
+        &self.pmf
+    }
+
+    /// Distribution of the sum of `n` independent draws from the base
+    /// distribution, and the last rung its ladder reached, climbing on
+    /// from this rung: the ladder of `n` takes exactly `k` squarings
+    /// before its first addition when `2^k` divides `n`, so this skips
+    /// them. The last rung is rung `⌊log2 n⌋` (this rung when `n` is 0).
+    /// Returns `None` when this rung's width does not divide `n`.
+    ///
+    /// With `max_support > 0`, every step's result has at most
+    /// `max_support` points, binned as [`Pmf::coarsen`] bins them, so
+    /// the mean is exact up to rounding. A step whose operands `a` and `b`
+    /// satisfy `a.len() + b.len() - 1 <= max_support` is
+    /// [`Pmf::convolve`] (its dense step on integer supports) then
+    /// [`Pmf::coarsen`]. Any other step is certain to exceed the cap (a
+    /// sum of two sets has at least `|A| + |B| - 1` values), so it bins
+    /// each of its `a.len() * b.len()` pairs straight into `coarsen`'s
+    /// bins over `[a.min() + b.min(), a.max() + b.max()]`, with no pair
+    /// vector and no sort. It works one row of `a` at a time: first the
+    /// bin and contribution of each of the row's pairs, then the additions
+    /// into the bins, in pair order. Every bin sees the same additions in
+    /// the same order as binning pair by pair, so the result is the same
+    /// to the bit.
+    ///
+    /// With `max_support == 0` intermediate supports are not capped, but
+    /// each step is still a [`Pmf::convolve`], which coarsens operands
+    /// whose pair count would exceed its ~262k-pair budget.
+    pub fn climb(self, n: u64, max_support: usize) -> Option<(Pmf, Rung)> {
+        if n % self.width() != 0 {
+            return None;
+        }
+        let step = |a: &Pmf, b: &Pmf| {
+            if max_support == 0 {
+                a.convolve(b)
+            } else if a.len() + b.len() - 1 <= max_support {
+                a.convolve(b).coarsen(max_support)
+            } else {
+                let mut bins = Bins::new(a.min() + b.min(), a.max() + b.max(), max_support);
+                for (v1, p1) in a.iter() {
+                    bins.add_row(v1, p1, b);
+                }
+                bins.into_pmf()
+            }
+        };
+        let Rung {
+            mut k,
+            pmf: mut base,
+        } = self;
+        let mut result = Pmf::delta(0.0).expect("0.0 is finite");
+        let mut m = n >> k;
+        while m > 0 {
+            if m & 1 == 1 {
+                result = step(&result, &base);
+            }
+            m >>= 1;
+            if m > 0 {
+                base = step(&base, &base);
+                k += 1;
+            }
+        }
+        Some((result, Rung { k, pmf: base }))
     }
 }
 
@@ -754,6 +822,12 @@ mod tests {
     fn coarsen_noop_when_small() {
         let pmf = Pmf::uniform_ints(0, 3).unwrap();
         assert_eq!(pmf.coarsen(10), pmf);
+    }
+
+    #[test]
+    fn coarsen_to_zero_points_means_no_cap() {
+        let pmf = Pmf::uniform_ints(0, 999).unwrap();
+        assert_eq!(pmf.coarsen(0), pmf);
     }
 
     #[test]

@@ -1,10 +1,18 @@
 //! Property-based tests for the PMF invariants of the paper’s statistical model (PAPER.md §III-D).
 
-use cimloop_stats::{BitStats, Pmf};
+use cimloop_stats::{BitStats, Pmf, Rung};
 use proptest::prelude::*;
 
 fn arb_pmf() -> impl Strategy<Value = Pmf> {
     prop::collection::vec((-1000i32..1000, 1u32..100), 1..20).prop_map(|pairs| {
+        Pmf::from_weights(pairs.into_iter().map(|(v, w)| (v as f64, w as f64)))
+            .expect("generated weights are valid")
+    })
+}
+
+/// Up to 5 points among the integers 0 to 5.
+fn arb_narrow_pmf() -> impl Strategy<Value = Pmf> {
+    prop::collection::vec((0i32..6, 1u32..100), 1..6).prop_map(|pairs| {
         Pmf::from_weights(pairs.into_iter().map(|(v, w)| (v as f64, w as f64)))
             .expect("generated weights are valid")
     })
@@ -353,6 +361,39 @@ proptest! {
         // exact steps off the dense integer path.
         let pmf = pmf.scale(scale);
         prop_assert_eq!(bits(&pmf.convolve_n(n, cap)), bits(&per_pair_convolve_n(&pmf, n, cap)));
+    }
+
+    #[test]
+    fn a_rung_resumes_every_ladder_it_divides_bit_for_bit(
+        // Uncapped sums of arb_pmf's wide supports grow to the pair
+        // budget; a narrow support keeps them small.
+        (cap, pmf) in prop_oneof![(Just(0usize), arb_narrow_pmf()), (8usize..64, arb_pmf())],
+        scale in prop_oneof![Just(1.0), Just(0.37)],
+        k in 0u32..4,
+        m in 1u64..4,
+        past in 0u64..8,
+        off in 1u64..8,
+    ) {
+        // Every count in [2^k, 2^(k+1)) ends its ladder at rung k, and
+        // the ladder of m·2^k passes it: resuming there takes the same
+        // steps on the same operands.
+        let pmf = pmf.scale(scale);
+        let width = 1u64 << k;
+        let (_, rung) = Rung::base(pmf.clone())
+            .climb(width + past % width, cap)
+            .expect("rung 0 divides every count");
+        prop_assert_eq!(rung.width(), width);
+        let n = m * width;
+        let (resumed, resumed_last) = rung.clone().climb(n, cap).expect("2^k divides m·2^k");
+        let (fresh, fresh_last) = Rung::base(pmf.clone()).climb(n, cap).expect("rung 0 divides n");
+        prop_assert_eq!(bits(&resumed), bits(&pmf.convolve_n(n, cap)));
+        prop_assert_eq!(bits(&resumed), bits(&fresh));
+        prop_assert_eq!(resumed_last.width(), fresh_last.width());
+        prop_assert_eq!(bits(resumed_last.pmf()), bits(fresh_last.pmf()));
+        if k > 0 {
+            // n plus 1..2^k − 1 is no multiple of 2^k.
+            prop_assert!(rung.climb(n + 1 + off % (width - 1), cap).is_none());
+        }
     }
 
     #[test]

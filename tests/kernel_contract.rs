@@ -10,8 +10,13 @@
 //! the per-pair kernel kept below as the second reference: every exact
 //! step a pair vector through `from_weights`, every capped step binned
 //! pair by pair.
+//!
+//! And it pins fig02b's shared ladder: a 512-row column sum filled
+//! through a cache that holds its 128-row sibling's continues that
+//! ladder, and every value it hands out is the fresh computation's, bit
+//! for bit.
 
-use cimloop::core::{reduction_rows_of, ValueStats};
+use cimloop::core::{reduction_rows_of, EnergyTableCache, StatsSignature, ValueStats};
 use cimloop::macros::{
     base_macro, digital_cim, macro_a, macro_b, macro_c, macro_d, ArrayMacro, OutputCombine,
 };
@@ -182,6 +187,52 @@ fn check(config: &str, m: &ArrayMacro, layer: &Layer) {
         new.max()
     );
     assert!(new.len() <= CAP, "{case}: {} support points", new.len());
+
+    if rows == 512 {
+        check_resumed_ladder(&case, m, layer, &stats);
+    }
+}
+
+/// Evaluates `m`'s 128-row sibling, then `m` (512 rows), through one
+/// cache, and checks the 512-row entry, read back as a hit, against the
+/// fresh `stats`.
+fn check_resumed_ladder(case: &str, m: &ArrayMacro, layer: &Layer, stats: &ValueStats) {
+    let rep = m.representation();
+    let cache = EnergyTableCache::new();
+    for design in [m.clone().with_array(128, 128), m.clone()] {
+        let evaluator = design.raw_evaluator().expect("preset evaluator");
+        evaluator
+            .action_energies_cached(layer, &rep, &cache)
+            .expect("energy table");
+    }
+    let cached = cache
+        .stats_or_try_insert_with(StatsSignature::new(512, layer, &rep), || {
+            panic!("{case}: the 512-row statistics were not cached")
+        })
+        .expect("a hit");
+    assert!(
+        bits(cached.sum()) == bits(stats.sum()),
+        "{case}: the resumed column sum's bits differ from the fresh one's"
+    );
+    assert_eq!(
+        cached.sum_max().to_bits(),
+        stats.sum_max().to_bits(),
+        "{case}"
+    );
+    assert_eq!(
+        cached.product_second_moment().to_bits(),
+        stats.product_second_moment().to_bits(),
+        "{case}"
+    );
+    for (a, b) in [
+        (cached.input_slice(), stats.input_slice()),
+        (cached.weight_slice(), stats.weight_slice()),
+    ] {
+        assert!(
+            bits(a.pmf()) == bits(b.pmf()) && a.bits() == b.bits(),
+            "{case}"
+        );
+    }
 }
 
 #[test]
