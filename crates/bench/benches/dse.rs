@@ -1,20 +1,25 @@
-//! Criterion bench for the Pareto design-space explorer, in two groups.
+//! Criterion bench for the Pareto design-space explorer, in three groups.
 //!
 //! - `dse`: the paper's Fig 2 co-design grid (two output-combining
 //!   variants of Macro C × three array sizes × three DAC × three ADC
 //!   resolutions, 54 systems) over the whole of ResNet18 at full-system
 //!   scope, swept naive sequential (fresh evaluator per design, no
-//!   cache), explorer cold (shared two-level cache, thread-pool fan-out)
+//!   cache), explorer cold (shared three-level cache, thread-pool fan-out)
 //!   and explorer warm. The explorer's front must be bit-identical to
 //!   the naive one.
 //! - `dse_scale`: the production-scale grid (96 configurations × a
 //!   1200-step noise axis, 115 200 candidates) swept to completion by the
 //!   staged explorer, plus a deterministic subsample swept staged and
 //!   plain, whose fronts must be bit-identical.
+//! - `task_accuracy_sweep`: `examples/specs/dse_accuracy.yaml`'s staged
+//!   sweep under the sampled task-accuracy objective, `cold` with a
+//!   fresh cache per sweep (one Monte-Carlo run per design) and `warm`
+//!   against one cache held across sweeps (every score from the cache's
+//!   accuracy level), what a warm daemon pays for a repeated request.
 //!
-//! Both score accuracy with the ADC-coverage proxy: the noise axis is
-//! then invisible to every objective, so the staged pass collapses each
-//! noise orbit to one evaluation, and the naive sweep's
+//! The first two score accuracy with the ADC-coverage proxy: the noise
+//! axis is then invisible to every objective, so the staged pass
+//! collapses each noise orbit to one evaluation, and the naive sweep's
 //! [`summarize`]d reports are comparable without Monte-Carlo sampling.
 //! Grid sizes, front sizes, evaluated/pruned counts and speedups are
 //! recorded as metrics next to the entries (`CIMLOOP_BENCH_JSON`).
@@ -33,7 +38,7 @@ use cimloop_dse::{
 };
 use cimloop_macros::{base_macro, macro_c, OutputCombine};
 use cimloop_system::{CimSystem, StorageScenario};
-use cimloop_workload::{models, Workload};
+use cimloop_workload::{models, Layer, LayerKind, Shape, Workload};
 
 /// The storage scenario of the Fig 2 co-design experiments (the full
 /// system around the macro; weights re-fetched from DRAM).
@@ -288,5 +293,89 @@ fn scale_sweeps(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, fig2_sweeps, scale_sweeps);
+/// `examples/specs/dse_accuracy.yaml`'s space: the uncalibrated base
+/// macro at 10% cell variation, two array sizes by two ADC resolutions.
+fn dse_accuracy_space() -> DesignSpace {
+    let base = base_macro()
+        .uncalibrated()
+        .with_noise(NoiseSpec::new().with_cell_variation(0.1));
+    DesignSpace::new()
+        .variant("base", base)
+        .square_arrays([16, 32])
+        .adc_bits([6, 8])
+}
+
+/// `examples/specs/dse_accuracy.yaml`'s two-layer workload.
+fn dse_accuracy_workload() -> Workload {
+    let shape = |k| Shape::linear(2, k, 24).expect("linear shape");
+    Workload::new(
+        "tiny",
+        vec![
+            Layer::new("a", LayerKind::Linear, shape(24)),
+            Layer::new("b", LayerKind::Linear, shape(48)).with_input_bits(4),
+        ],
+    )
+    .expect("two layers")
+}
+
+fn task_accuracy_sweeps(c: &mut Criterion) {
+    let space = dse_accuracy_space();
+    let net = dse_accuracy_workload();
+    let staged = SweepPlan {
+        staged: true,
+        ..SweepPlan::new()
+    };
+    let explorer = || Explorer::new().with_accuracy(AccuracyObjective::TaskAccuracy);
+
+    let cold = RefCell::new(None);
+    let mut group = c.benchmark_group("task_accuracy_sweep");
+    group.measurement_time(Duration::from_secs(1));
+    group.bench_function("cold", |b| {
+        b.iter(|| {
+            // A fresh explorer per iteration: every design sampled, as
+            // each request sampled before the cache kept accuracies.
+            let exploration = explorer().sweep(&space, &net, &staged).expect("sweep");
+            black_box(exploration.front.len());
+            *cold.borrow_mut() = Some(exploration);
+        })
+    });
+    let warm = explorer();
+    let before = warm.cache().stats_snapshot();
+    group.bench_function("warm", |b| {
+        b.iter(|| {
+            let exploration = warm.sweep(&space, &net, &staged).expect("sweep");
+            black_box(exploration.front.len())
+        })
+    });
+    group.finish();
+
+    if let Some(cold) = cold.borrow().as_ref() {
+        // The golden's front: two designs, task accuracy 0.7482 and 0.8091.
+        let accuracies: Vec<String> = cold
+            .front
+            .members()
+            .iter()
+            .map(|m| format!("{:.4}", m.value.task_accuracy.unwrap_or(f64::NAN)))
+            .collect();
+        assert_eq!(accuracies, ["0.7482", "0.8091"], "results/dse_accuracy.tsv");
+        let after = warm.cache().stats_snapshot();
+        assert_eq!(
+            after.accuracy_misses - before.accuracy_misses,
+            cold.evaluated as u64,
+            "the warm explorer samples each design once"
+        );
+        println!(
+            "warm explorer: {} accuracy hits, {} misses over its sweeps",
+            after.accuracy_hits - before.accuracy_hits,
+            after.accuracy_misses - before.accuracy_misses
+        );
+    }
+    record_speedup(
+        "task_accuracy_speedup_cold_over_warm",
+        "task_accuracy_sweep/cold",
+        "task_accuracy_sweep/warm",
+    );
+}
+
+criterion_group!(benches, fig2_sweeps, scale_sweeps, task_accuracy_sweeps);
 criterion_main!(benches);

@@ -7,13 +7,44 @@
 pub mod figures;
 
 use std::fs;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use cimloop_core::CoreError;
 use cimloop_dse::{DesignReport, DesignSpace, Explorer};
 use cimloop_workload::Workload;
+
+/// Whether a write to stdout has failed: its reader has gone.
+static STDOUT_GONE: AtomicBool = AtomicBool::new(false);
+
+/// Writes `text` to stdout as given; every line the tables, the `figures`
+/// binary and `cimloop` print goes through here (a line through
+/// [`outln!`]). `print!` panics when the reader of stdout has gone
+/// (`cimloop … | head -1`), which in a daemon fails the request that
+/// printed and in a batch run stops it before its TSV is written. This
+/// stops printing at the first failed write instead, so a daemon keeps
+/// serving and a batch run finishes with its exit code.
+pub fn print_stdout(text: std::fmt::Arguments<'_>) {
+    if STDOUT_GONE.load(Ordering::Relaxed) {
+        return;
+    }
+    let mut stdout = io::stdout().lock();
+    let written = stdout.write_fmt(text).and_then(|()| stdout.flush());
+    if written.is_err() {
+        STDOUT_GONE.store(true, Ordering::Relaxed);
+    }
+}
+
+/// `println!` through [`print_stdout`]: one line to stdout, and no panic
+/// once its reader has gone.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::print_stdout(::std::format_args!("{}\n", ::std::format_args!($($arg)*)))
+    };
+}
 
 /// A simple experiment table: prints aligned columns to stdout and writes a
 /// TSV copy into `results/`, where the committed copies are goldens.
@@ -51,7 +82,7 @@ impl ExperimentTable {
     }
 
     fn print(&self) {
-        println!("\n=== {} — {} ===", self.name, self.title);
+        outln!("\n=== {} — {} ===", self.name, self.title);
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
@@ -68,7 +99,7 @@ impl ExperimentTable {
                 .enumerate()
                 .map(|(i, c)| format!("{:<width$}", c, width = widths.get(i).copied().unwrap_or(8)))
                 .collect();
-            println!("  {}", line.join("  "));
+            outln!("  {}", line.join("  "));
         };
         print_row(&self.headers);
         for row in &self.rows {
@@ -104,7 +135,7 @@ impl ExperimentTable {
     pub fn finish_to(&self, dir: &Path) -> io::Result<()> {
         self.print();
         let path = write_tsv(dir, &self.name, self.to_tsv().as_bytes())?;
-        println!("  [written {}]", path.display());
+        outln!("  [written {}]", path.display());
         Ok(())
     }
 }

@@ -32,7 +32,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use cimloop_bench::ExperimentTable;
+use cimloop_bench::{outln, ExperimentTable};
 use cimloop_core::{CoreError, EnergyTableCache};
 use cimloop_sim::{mc_layer, mc_workload, McConfig};
 use cimloop_spec::{ScenarioDoc, SpecError};
@@ -272,7 +272,7 @@ pub fn validate_doc_with(
     let name = doc.name()?;
     let kind = doc.experiment().to_owned();
     let mut warnings = Vec::new();
-    println!("scenario `{name}` (experiment: {kind})");
+    outln!("scenario `{name}` (experiment: {kind})");
 
     if doc.architectures().is_empty() {
         warnings.push("no !Architecture section — nothing to evaluate".to_owned());
@@ -291,20 +291,20 @@ pub fn validate_doc_with(
         ));
     };
     match &net {
-        Some(net) => println!(
+        Some(net) => outln!(
             "  workload: {} ({} layers, {:.3} GMACs)",
             net.name(),
             net.layers().len(),
             net.total_macs() as f64 / 1e9
         ),
-        None => println!("  workload: derived per sweep point (experiment: {kind})"),
+        None => outln!("  workload: derived per sweep point (experiment: {kind})"),
     }
 
     for arch in doc.architectures() {
         let m = resolve::architecture(doc, arch)?;
         let (evaluator, rep) = resolve::evaluator_for(&m, scope)?;
         let hierarchy_len = evaluator.hierarchy().len();
-        println!(
+        outln!(
             "  architecture `{}`: {}x{} array, {} hierarchy nodes, ADC {:?} bits, noise {}",
             m.name(),
             m.rows(),
@@ -348,9 +348,10 @@ pub fn validate_doc_with(
         // analytic prediction. Fixed trial count + pinned seed ⇒ the
         // printout is byte-identical across runs and thread counts.
         if let (Some(cfg), Some(net)) = (opts.mc_config(), &net) {
-            println!(
+            outln!(
                 "  monte-carlo cross-check ({} trials, seed {}):",
-                cfg.trials, cfg.seed
+                cfg.trials,
+                cfg.seed
             );
             for layer in net.layers() {
                 let analytic = evaluator.evaluate_layer(layer, &rep)?.output_snr_db();
@@ -358,7 +359,7 @@ pub fn validate_doc_with(
                 match analytic {
                     Some(analytic) => {
                         let deviation = (analytic - empirical.snr_db).abs();
-                        println!(
+                        outln!(
                             "    layer `{}`: analytic {analytic:.3} dB vs empirical {:.3} dB \
                              (deviation {deviation:.3} dB), task accuracy {:.4}",
                             layer.name(),
@@ -379,7 +380,7 @@ pub fn validate_doc_with(
                     }
                     // Noise-free digital readout has no analytic noise
                     // report; the sampled engine must then be exact.
-                    None => println!(
+                    None => outln!(
                         "    layer `{}`: exact digital readout, task accuracy {:.4}",
                         layer.name(),
                         empirical.task_accuracy
@@ -387,7 +388,7 @@ pub fn validate_doc_with(
                 }
             }
             let run = mc_workload(&m, net, &cfg)?;
-            println!(
+            outln!(
                 "    end-to-end task accuracy: {:.4} ({} layers, MAC-weighted)",
                 run.task_accuracy,
                 run.layers.len()
@@ -422,10 +423,10 @@ pub fn validate_doc_with(
     }
 
     for warning in &warnings {
-        println!("  warning: {warning}");
+        outln!("  warning: {warning}");
     }
     if warnings.is_empty() {
-        println!("  ok: no warnings");
+        outln!("  ok: no warnings");
     }
     Ok(warnings)
 }

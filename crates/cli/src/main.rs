@@ -26,11 +26,11 @@
 //! for `diff` of files that differ), 0 otherwise.
 
 use std::fmt::Display;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 
+use cimloop_bench::{outln, print_stdout};
 use cimloop_cli::serve::client::{Client, Response};
 use cimloop_cli::serve::{ServeConfig, Server};
 use cimloop_cli::{merge_fronts, run, validate_doc_with, DseOptions, RunContext, ValidateOptions};
@@ -83,7 +83,7 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(Stop::Help) => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             ExitCode::SUCCESS
         }
         Err(Stop::Usage(message)) => {
@@ -234,7 +234,7 @@ fn evaluate(args: &[String]) -> Result<(), Stop> {
             Some(table) => table
                 .finish_to(args.out_dir())
                 .map_err(|e| failed(spec, e))?,
-            None => println!("  partial run: no TSV written (merge or resume to finish)"),
+            None => outln!("  partial run: no TSV written (merge or resume to finish)"),
         }
     }
     Ok(())
@@ -294,7 +294,8 @@ fn convert(args: &[String]) -> Result<(), Stop> {
     };
     for &spec in specs {
         let doc = load(spec)?;
-        print!("{}", if to_json { doc.to_json() } else { doc.write() });
+        let text = if to_json { doc.to_json() } else { doc.write() };
+        print_stdout(format_args!("{text}"));
     }
     Ok(())
 }
@@ -317,10 +318,10 @@ fn diff(args: &[String]) -> Result<(), Stop> {
         ))
     };
     if !report.is_empty() {
-        print!("{report}");
+        print_stdout(format_args!("{report}"));
         return Err(Stop::Failed(format!("{old} and {new} differ")));
     }
-    println!("{old} and {new} are structurally identical");
+    outln!("{old} and {new} are structurally identical");
     Ok(())
 }
 
@@ -361,12 +362,11 @@ fn serve(args: &[String]) -> Result<(), Stop> {
     let local = server
         .local_addr()
         .map_err(|e| failed("cimloop serve", e))?;
-    // The "listening" line is the readiness signal harnesses wait for, so
-    // flush it before blocking in accept().
-    println!("cimloop-serve listening on {local}");
-    let _ = std::io::stdout().flush();
+    // The "listening" line is the readiness signal harnesses wait for;
+    // `outln!` flushes it before the daemon blocks in accept().
+    outln!("cimloop-serve listening on {local}");
     server.run().map_err(|e| failed("cimloop serve", e))?;
-    println!("cimloop-serve: shut down cleanly");
+    outln!("cimloop-serve: shut down cleanly");
     Ok(())
 }
 
@@ -406,7 +406,7 @@ fn request(args: &[String]) -> Result<(), Stop> {
             Response::Ok { name, body } => {
                 let path = cimloop_bench::write_tsv(args.out_dir(), &name, &body)
                     .map_err(|e| failed("cimloop request", e))?;
-                println!("{spec}: served `{name}` -> {}", path.display());
+                outln!("{spec}: served `{name}` -> {}", path.display());
             }
             Response::Err(message) => {
                 eprintln!("{spec}: {message}");
@@ -417,7 +417,7 @@ fn request(args: &[String]) -> Result<(), Stop> {
     if let Some(stats_file) = stats_file {
         match client.stats().map_err(protocol)? {
             Response::Ok { body, .. } if stats_file == "-" => {
-                println!("{}", String::from_utf8_lossy(&body));
+                outln!("{}", String::from_utf8_lossy(&body));
             }
             Response::Ok { body, .. } => std::fs::write(stats_file, &body)
                 .map_err(|e| failed(format!("cimloop request: cannot write {stats_file}"), e))?,
@@ -429,7 +429,7 @@ fn request(args: &[String]) -> Result<(), Stop> {
     }
     if shutdown {
         match client.shutdown().map_err(protocol)? {
-            Response::Ok { .. } => println!("cimloop request: daemon shutting down"),
+            Response::Ok { .. } => outln!("cimloop request: daemon shutting down"),
             Response::Err(message) => {
                 eprintln!("cimloop request: SHUTDOWN failed: {message}");
                 failures += 1;

@@ -18,7 +18,7 @@
 // The panic policy: malformed specs surface as CliError, never as a panic.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-use cimloop_bench::{fmt, ExperimentTable};
+use cimloop_bench::{fmt, outln, ExperimentTable};
 use cimloop_core::EnergyTableCache;
 use cimloop_dse::{
     AccuracyObjective, Checkpoint, CheckpointError, DesignSpace, EvalScope, Exploration, Explorer,
@@ -96,7 +96,7 @@ pub fn evaluate(doc: &ScenarioDoc, ctx: &RunContext) -> Result<ExperimentTable, 
         "-".to_owned(),
     ]);
     if let Some(snr) = report.output_snr_db() {
-        println!("  worst-layer output SNR: {snr:.3} dB");
+        outln!("  worst-layer output SNR: {snr:.3} dB");
     }
     Ok(out)
 }
@@ -444,7 +444,7 @@ pub fn dse(
         let checkpoint =
             Checkpoint::capture(doc.name()?, &space, explorer.accuracy(), &exploration);
         checkpoint.save(path).map_err(checkpoint_error)?;
-        println!(
+        outln!(
             "  checkpoint: {} ({} processed, {} on front)",
             path.display(),
             checkpoint.processed().len(),
@@ -476,7 +476,7 @@ fn report_sweep(exploration: &Exploration, plan: &SweepPlan) {
     } else {
         format!(" ({})", notes.join(", "))
     };
-    println!(
+    outln!(
         "  {} designs evaluated, {} on the Pareto front{notes}",
         exploration.evaluated,
         exploration.front.len()
@@ -522,7 +522,7 @@ pub fn merge_fronts(
         processed += state.processed.len();
         front.merge(state.front);
     }
-    println!(
+    outln!(
         "  merged {} checkpoint(s): {} designs processed, {} on the Pareto front",
         checkpoints.len(),
         processed,

@@ -87,8 +87,8 @@ pub struct ServeConfig {
     /// Requests that may wait for an evaluation slot; a request arriving
     /// while this many wait is rejected.
     pub queue_depth: usize,
-    /// Entry-count cap of the shared cache's energy-table level
-    /// (`usize::MAX` = unbounded).
+    /// Entry-count cap of the shared cache's energy-table level, and of
+    /// its level of sampled task accuracies (`usize::MAX` = unbounded).
     pub table_capacity: usize,
     /// Entry-count cap of the shared cache's value-statistics level.
     pub stats_capacity: usize,

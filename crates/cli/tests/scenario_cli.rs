@@ -653,6 +653,32 @@ fn evaluate_exits_nonzero_when_the_tsv_cannot_be_written() {
 }
 
 #[test]
+fn evaluate_whose_stdout_reader_has_gone_still_writes_its_tsv() {
+    // Regression: the table print panicked on the broken pipe (exit 101)
+    // before the TSV was written.
+    let dir = temp_dir("closed_stdout");
+    let mut evaluate = std::process::Command::new(env!("CARGO_BIN_EXE_cimloop"))
+        .arg("evaluate")
+        .arg(repo_root().join("examples/specs/custom_macro.yaml"))
+        .arg("--out")
+        .arg(&dir)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("cimloop runs");
+    // Close the only reader before the run can print its first line.
+    drop(evaluate.stdout.take());
+    let output = evaluate.wait_with_output().expect("cimloop exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let written = std::fs::read(dir.join("scenario_custom.tsv")).expect("TSV written");
+    let golden = std::fs::read(repo_root().join("results/scenario_custom.tsv")).expect("golden");
+    assert_eq!(written, golden);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn evaluate_and_validate_reject_a_misspelled_dse_section_at_its_line() {
     // Regression: the binary ran `experiment: dse` on a second path that
     // skipped the schema check, so `evaluate` ran `!Spcae` as a

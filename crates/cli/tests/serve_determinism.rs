@@ -3,13 +3,14 @@
 //! output for the same document — across every committed example spec,
 //! under a tiny cache cap (eviction churn), and under concurrent
 //! clients sharing one cache. The daemon must also survive misbehaving
-//! clients: a disconnect aborts the request, never the process. And
-//! `cimloop serve` must refuse a zero worker count or queue depth rather
-//! than start.
+//! clients: a disconnect aborts the request, never the process. Neither
+//! the daemon nor the client may panic when the reader of its stdout has
+//! gone. And `cimloop serve` must refuse a zero worker count or queue
+//! depth rather than start.
 
-use std::io::Read as _;
+use std::io::{BufRead as _, BufReader, Read as _};
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::thread;
 use std::time::Duration;
 
@@ -249,6 +250,142 @@ fn repeated_requests_hit_the_shared_cache() {
         .join()
         .expect("server thread")
         .expect("clean shutdown");
+}
+
+/// A repeated `dse_accuracy` request is answered from the shared cache's
+/// accuracy level: the first samples each of the four designs' task
+/// accuracy, the repeat samples none and serves the same bytes.
+#[test]
+fn a_repeated_dse_accuracy_request_samples_nothing_again() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let ctx = server.context();
+    let handle = thread::spawn(move || server.run());
+    let mut client = Client::connect(addr).expect("connect");
+    let root = repo_root();
+    let spec = std::fs::read_to_string(root.join("examples/specs/dse_accuracy.yaml"))
+        .expect("committed spec reads");
+    let golden = std::fs::read(root.join("results/dse_accuracy.tsv")).expect("golden reads");
+
+    let (name, first) = expect_table(client.run(&spec).expect("first run"));
+    assert_eq!(name, "dse_accuracy");
+    assert_eq!(first, golden, "served bytes differ from the golden");
+    let cold = ctx.cache().stats_snapshot();
+    assert_eq!((cold.accuracy_misses, cold.accuracy_hits), (4, 0));
+
+    let (_, second) = expect_table(client.run(&spec).expect("second run"));
+    assert_eq!(second, first, "the repeat must serve identical bytes");
+    let warm = ctx.cache().stats_snapshot();
+    assert_eq!(
+        (
+            warm.accuracy_misses - cold.accuracy_misses,
+            warm.accuracy_hits - cold.accuracy_hits
+        ),
+        (0, 4),
+        "the repeat must sample no design again"
+    );
+    assert_eq!(warm.accuracy_len, 4);
+    let stats = stats_without_panics(&mut client);
+    assert!(
+        stats.contains("\"accuracy_hits\": 4, \"accuracy_misses\": 4,"),
+        "{stats}"
+    );
+    expect_table(client.shutdown().expect("shutdown"));
+    handle
+        .join()
+        .expect("server thread")
+        .expect("clean shutdown");
+}
+
+/// A spawned `cimloop` process, killed if a failing test leaves it
+/// running.
+struct Spawned(Child);
+
+impl Drop for Spawned {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// A daemon whose stdout reader goes after the listening line keeps
+/// serving: the `custom_macro` runner's SNR line and the shut-down line
+/// used to panic on the broken pipe, failing the request and then the
+/// process.
+#[test]
+fn a_daemon_whose_stdout_reader_has_gone_keeps_serving() {
+    let mut daemon = Spawned(
+        Command::new(env!("CARGO_BIN_EXE_cimloop"))
+            .args(["serve", "127.0.0.1:0"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("cimloop serve runs"),
+    );
+    let mut first = String::new();
+    {
+        let stdout = daemon.0.stdout.take().expect("piped stdout");
+        BufReader::new(stdout)
+            .read_line(&mut first)
+            .expect("the listening line");
+    }
+    let addr = first
+        .trim()
+        .strip_prefix("cimloop-serve listening on ")
+        .unwrap_or_else(|| panic!("unexpected first line {first:?}"))
+        .to_owned();
+
+    let root = repo_root();
+    let spec = std::fs::read_to_string(root.join("examples/specs/custom_macro.yaml"))
+        .expect("committed spec reads");
+    let golden = std::fs::read(root.join("results/scenario_custom.tsv")).expect("golden reads");
+    let mut client = Client::connect(addr.as_str()).expect("connect");
+    let (name, body) = expect_table(client.run(&spec).expect("served run"));
+    assert_eq!(name, "scenario_custom");
+    assert_eq!(body, golden, "served bytes differ from the golden");
+    stats_without_panics(&mut client);
+    expect_table(client.shutdown().expect("shutdown"));
+
+    let status = daemon.0.wait().expect("the daemon exits");
+    let mut stderr = String::new();
+    if let Some(mut pipe) = daemon.0.stderr.take() {
+        let _ = pipe.read_to_string(&mut stderr);
+    }
+    assert!(status.success(), "daemon exit {status}: {stderr}");
+}
+
+/// `cimloop request … --stats -` whose stdout reader has gone before its
+/// first line exits 0 without a panic.
+#[test]
+fn a_client_whose_stdout_reader_has_gone_exits_cleanly() {
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let out = std::env::temp_dir().join(format!("cimloop_closed_stdout_{}", std::process::id()));
+    let spec = repo_root().join("examples/specs/custom_macro.yaml");
+    let mut request = Command::new(env!("CARGO_BIN_EXE_cimloop"))
+        .arg("request")
+        .arg(addr.to_string())
+        .arg(&spec)
+        .arg("--out")
+        .arg(&out)
+        .args(["--stats", "-", "--shutdown"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("cimloop request runs");
+    // Close the only reader before the client can print its first line.
+    drop(request.stdout.take());
+    let output = request.wait_with_output().expect("the client exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    handle
+        .join()
+        .expect("server thread")
+        .expect("clean shutdown");
+    let served = std::fs::read(out.join("scenario_custom.tsv")).expect("served TSV written");
+    let _ = std::fs::remove_dir_all(&out);
+    let golden = std::fs::read(repo_root().join("results/scenario_custom.tsv")).expect("golden");
+    assert_eq!(served, golden);
 }
 
 /// `cimloop serve` with `flag 0` must exit 2 naming the flag, before it

@@ -13,6 +13,12 @@
 //! amortize it across all layers — and, via interior mutability, across
 //! the threads of a parallel network evaluation.
 //!
+//! A design-space exploration under the sampled task-accuracy objective
+//! pays one Monte-Carlo run per design on top of that; the cache's third
+//! level keeps each sampled accuracy, so an explorer that shares the
+//! cache — a repeated sweep, or every request of a resident daemon —
+//! samples each (design, workload) pair once.
+//!
 //! A batch binary lives for one sweep, so its cache could afford to only
 //! grow. A resident evaluation service (`cimloop serve`) shares **one**
 //! process-wide cache across every request it will ever run, so each level
@@ -35,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cimloop_noise::NoiseSpec;
-use cimloop_workload::{Layer, ValueProfile};
+use cimloop_workload::{Layer, ValueProfile, Workload};
 
 use crate::pipeline::ValueStats;
 use crate::{ActionEnergyTable, CoreError, Representation};
@@ -135,6 +141,35 @@ impl StatsSignature {
     }
 }
 
+/// The identity of a sampled task accuracy: the design's configuration
+/// fingerprint, noise spec included (`ArrayMacro::config_fingerprint(true)`
+/// in `cimloop-macros`), and a digest of the workload taken the same way,
+/// from its `Debug` rendering, which covers every layer field (shape,
+/// precisions, value profiles) with round-trip float precision.
+///
+/// The Monte-Carlo objective reads nothing else but its trial count and
+/// seed, which the objective fixes, so two lookups with equal signatures
+/// would sample bit-identical accuracies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct AccuracySignature {
+    design: u64,
+    workload: u64,
+}
+
+impl AccuracySignature {
+    /// Builds the signature of sampling `workload` on the design whose
+    /// noise-inclusive configuration fingerprint is `design`.
+    pub fn new(design: u64, workload: &Workload) -> Self {
+        use std::hash::Hasher;
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        format!("{workload:?}").hash(&mut hasher);
+        AccuracySignature {
+            design,
+            workload: hasher.finish(),
+        }
+    }
+}
+
 /// Encodes a [`ValueProfile`] as a hashable word sequence: a variant tag
 /// followed by parameter bit patterns (f64s compared bit-for-bit, exactly
 /// matching when the realized PMFs are identical).
@@ -161,7 +196,8 @@ fn encode_profile(profile: &ValueProfile) -> Vec<u64> {
 }
 
 /// A point-in-time snapshot of an [`EnergyTableCache`]'s occupancy and
-/// traffic, per level. `*_capacity == usize::MAX` means unbounded.
+/// traffic, per level: energy tables, value statistics and sampled task
+/// accuracies. `*_capacity == usize::MAX` means unbounded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Distinct energy tables currently held.
@@ -184,6 +220,16 @@ pub struct CacheStats {
     pub stats_misses: u64,
     /// Statistics evicted to respect the cap.
     pub stats_evictions: u64,
+    /// Distinct sampled task accuracies currently held.
+    pub accuracy_len: usize,
+    /// Entry-count cap of the accuracy level (the table level's cap).
+    pub accuracy_capacity: usize,
+    /// Accuracy lookups served from the cache.
+    pub accuracy_hits: u64,
+    /// Accuracy lookups that had to sample.
+    pub accuracy_misses: u64,
+    /// Accuracies evicted to respect the cap.
+    pub accuracy_evictions: u64,
 }
 
 impl CacheStats {
@@ -202,7 +248,8 @@ impl CacheStats {
             "{{\"table_len\": {}, \"table_capacity\": {}, \"table_hits\": {}, \
              \"table_misses\": {}, \"table_evictions\": {}, \"stats_len\": {}, \
              \"stats_capacity\": {}, \"stats_hits\": {}, \"stats_misses\": {}, \
-             \"stats_evictions\": {}}}",
+             \"stats_evictions\": {}, \"accuracy_len\": {}, \"accuracy_capacity\": {}, \
+             \"accuracy_hits\": {}, \"accuracy_misses\": {}, \"accuracy_evictions\": {}}}",
             self.table_len,
             cap(self.table_capacity),
             self.table_hits,
@@ -213,6 +260,11 @@ impl CacheStats {
             self.stats_hits,
             self.stats_misses,
             self.stats_evictions,
+            self.accuracy_len,
+            cap(self.accuracy_capacity),
+            self.accuracy_hits,
+            self.accuracy_misses,
+            self.accuracy_evictions,
         )
     }
 }
@@ -235,7 +287,7 @@ impl std::fmt::Display for CacheStats {
             self.table_misses,
             self.table_evictions
         )?;
-        write!(
+        writeln!(
             f,
             "stats: {} held (cap {}), {} hits, {} misses, {} evictions",
             self.stats_len,
@@ -243,6 +295,15 @@ impl std::fmt::Display for CacheStats {
             self.stats_hits,
             self.stats_misses,
             self.stats_evictions
+        )?;
+        write!(
+            f,
+            "accuracies: {} held (cap {}), {} hits, {} misses, {} evictions",
+            self.accuracy_len,
+            cap(self.accuracy_capacity),
+            self.accuracy_hits,
+            self.accuracy_misses,
+            self.accuracy_evictions
         )
     }
 }
@@ -390,8 +451,8 @@ impl<K: Eq + Hash + Clone, V> Level<K, V> {
     }
 }
 
-/// A thread-safe, bounded, two-level cache for the amortizable halves of
-/// layer evaluation.
+/// A thread-safe, bounded, three-level cache for the amortizable work of
+/// layer evaluation and design scoring.
 ///
 /// - **Table level** ([`ActionEnergyTable`] keyed by [`TableSignature`]):
 ///   shares finished per-action energy tables between layers with equal
@@ -403,6 +464,10 @@ impl<K: Eq + Hash + Clone, V> Level<K, V> {
 ///   reduction widths agree. A miss filled through [`Self::value_stats`]
 ///   continues the squaring ladder of the same values at half, a quarter,
 ///   … of its width when the level holds one, sharing its streams.
+/// - **Accuracy level** (sampled task accuracy keyed by
+///   [`AccuracySignature`]): the Monte-Carlo score of one design on one
+///   workload, so explorers that share the cache sample each (design,
+///   workload) pair once. Bounded by the table level's capacity.
 ///
 /// Entries are handed out as [`Arc`]s so concurrent layer evaluations share
 /// one allocation. Each level holds at most its configured entry-count
@@ -414,6 +479,7 @@ impl<K: Eq + Hash + Clone, V> Level<K, V> {
 pub struct EnergyTableCache {
     tables: Level<TableSignature, ActionEnergyTable>,
     stats: Level<StatsSignature, ValueStats>,
+    accuracies: Level<AccuracySignature, f64>,
 }
 
 impl Default for EnergyTableCache {
@@ -430,14 +496,15 @@ impl EnergyTableCache {
     }
 
     /// Creates an empty cache holding at most `table_capacity` energy
-    /// tables and `stats_capacity` value statistics, evicting
-    /// least-recently-used entries on overflow. A capacity of `0` disables
-    /// retention entirely (every lookup computes) — still correct, never
-    /// fast.
+    /// tables, `stats_capacity` value statistics and `table_capacity`
+    /// sampled task accuracies, evicting least-recently-used entries on
+    /// overflow. A capacity of `0` disables retention entirely (every
+    /// lookup computes) — still correct, never fast.
     pub fn bounded(table_capacity: usize, stats_capacity: usize) -> Self {
         EnergyTableCache {
             tables: Level::new(table_capacity),
             stats: Level::new(stats_capacity),
+            accuracies: Level::new(table_capacity),
         }
     }
 
@@ -506,6 +573,22 @@ impl EnergyTableCache {
         })
     }
 
+    /// Returns the cached task accuracy for `signature`, sampling it via
+    /// `sample` on a miss.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `sample` errors; nothing is inserted on failure.
+    pub fn accuracy_or_try_insert_with(
+        &self,
+        signature: AccuracySignature,
+        sample: impl FnOnce() -> Result<f64, CoreError>,
+    ) -> Result<f64, CoreError> {
+        self.accuracies
+            .get_or_try_insert_with(signature, sample)
+            .map(|accuracy| *accuracy)
+    }
+
     /// Number of distinct tables held.
     pub fn len(&self) -> usize {
         self.tables.len()
@@ -565,13 +648,20 @@ impl EnergyTableCache {
             stats_hits: self.stats_hits(),
             stats_misses: self.stats_misses(),
             stats_evictions: self.stats_evictions(),
+            accuracy_len: self.accuracies.len(),
+            accuracy_capacity: self.accuracies.capacity(),
+            accuracy_hits: self.accuracies.hits.load(Ordering::Relaxed),
+            accuracy_misses: self.accuracies.misses.load(Ordering::Relaxed),
+            accuracy_evictions: self.accuracies.evictions.load(Ordering::Relaxed),
         }
     }
 
-    /// Drops all cached tables and statistics and resets every counter.
+    /// Drops all cached tables, statistics and accuracies and resets
+    /// every counter.
     pub fn clear(&self) {
         self.tables.clear();
         self.stats.clear();
+        self.accuracies.clear();
     }
 }
 
@@ -801,6 +891,111 @@ mod tests {
         assert_eq!(lens, Ok((1, 1)));
     }
 
+    /// A stand-in for `ArrayMacro::config_fingerprint(true)`, which this
+    /// crate cannot build: the digest of a design's ADC bits and noise
+    /// spec, taken from their `Debug` rendering.
+    fn design(adc_bits: u32, noise: NoiseSpec) -> u64 {
+        use std::hash::Hasher;
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        format!("{adc_bits:?} {noise:?}").hash(&mut hasher);
+        hasher.finish()
+    }
+
+    fn net(weight_sigma: f64) -> Workload {
+        let b = layer("b", 32).with_weight_profile(ValueProfile::GaussianWeights {
+            sigma: weight_sigma,
+        });
+        Workload::new("net", vec![layer("a", 16), b]).unwrap()
+    }
+
+    #[test]
+    fn accuracy_level_keys_on_the_design_and_the_workload() {
+        let varied = |sigma| NoiseSpec::new().with_cell_variation(sigma);
+        let base = AccuracySignature::new(design(8, varied(0.1)), &net(0.1));
+        let cache = EnergyTableCache::new();
+        let first = cache.accuracy_or_try_insert_with(base, || Ok(0.5));
+        assert_eq!(first.unwrap(), 0.5);
+        // A noise sigma, the ADC bits, or one layer's value profile: each
+        // differs from the base alone, and each misses with its own sample.
+        let others = [
+            AccuracySignature::new(design(8, varied(0.2)), &net(0.1)),
+            AccuracySignature::new(design(6, varied(0.1)), &net(0.1)),
+            AccuracySignature::new(design(8, varied(0.1)), &net(0.2)),
+        ];
+        for (i, other) in others.into_iter().enumerate() {
+            assert_ne!(other, base);
+            let sampled = 0.125 * i as f64;
+            let got = cache.accuracy_or_try_insert_with(other, || Ok(sampled));
+            assert_eq!(got.unwrap(), sampled);
+        }
+        // An equal signature, built afresh, hits without sampling.
+        let again = AccuracySignature::new(design(8, varied(0.1)), &net(0.1));
+        assert_eq!(again, base);
+        let hit = cache.accuracy_or_try_insert_with(again, || unreachable!("an equal key hits"));
+        assert_eq!(hit.unwrap(), 0.5);
+        let snapshot = cache.stats_snapshot();
+        assert_eq!(
+            (
+                snapshot.accuracy_len,
+                snapshot.accuracy_hits,
+                snapshot.accuracy_misses
+            ),
+            (4, 1, 4)
+        );
+        // A failed sample inserts nothing.
+        let failed = AccuracySignature::new(design(4, varied(0.1)), &net(0.1));
+        let boom = || {
+            Err(CoreError::Representation {
+                message: "boom".to_owned(),
+            })
+        };
+        assert!(cache.accuracy_or_try_insert_with(failed, boom).is_err());
+        assert_eq!(cache.stats_snapshot().accuracy_len, 4);
+
+        cache.clear();
+        let cleared = cache.stats_snapshot();
+        assert_eq!(
+            (
+                cleared.accuracy_len,
+                cleared.accuracy_hits,
+                cleared.accuracy_misses
+            ),
+            (0, 0, 0)
+        );
+        let resampled = cache.accuracy_or_try_insert_with(base, || Ok(0.75));
+        assert_eq!(resampled.unwrap(), 0.75);
+    }
+
+    #[test]
+    fn accuracy_level_evicts_at_the_table_capacity() {
+        let cache = EnergyTableCache::bounded(2, 5);
+        let sig = |design| AccuracySignature::new(design, &net(0.1));
+        for design in 0..4 {
+            cache
+                .accuracy_or_try_insert_with(sig(design), || Ok(0.5))
+                .unwrap();
+        }
+        let snapshot = cache.stats_snapshot();
+        assert_eq!(snapshot.accuracy_capacity, 2);
+        assert_eq!(snapshot.accuracy_len, 2);
+        assert_eq!(snapshot.accuracy_misses, 4);
+        assert_eq!(snapshot.accuracy_evictions, 2);
+        // The two most recent survive; the oldest samples again.
+        cache
+            .accuracy_or_try_insert_with(sig(3), || unreachable!("design 3 is held"))
+            .unwrap();
+        cache
+            .accuracy_or_try_insert_with(sig(0), || Ok(0.5))
+            .unwrap();
+        let snapshot = cache.stats_snapshot();
+        assert_eq!((snapshot.accuracy_hits, snapshot.accuracy_misses), (1, 5));
+        // A zero table capacity retains no accuracy, and still answers.
+        let none = EnergyTableCache::bounded(0, 5);
+        let unretained = none.accuracy_or_try_insert_with(sig(0), || Ok(0.25));
+        assert_eq!(unretained.unwrap(), 0.25);
+        assert_eq!(none.stats_snapshot().accuracy_len, 0);
+    }
+
     #[test]
     fn stats_snapshot_serializes() {
         let cache = EnergyTableCache::bounded(8, usize::MAX);
@@ -808,8 +1003,11 @@ mod tests {
         let json = snapshot.to_json();
         assert!(json.contains("\"table_capacity\": 8"));
         assert!(json.contains("\"stats_capacity\": null"));
+        assert!(json.contains("\"accuracy_capacity\": 8"));
+        assert!(json.ends_with("\"accuracy_misses\": 0, \"accuracy_evictions\": 0}"));
         let text = snapshot.to_string();
         assert!(text.contains("cap 8"));
         assert!(text.contains("cap unbounded"));
+        assert!(text.contains("accuracies: 0 held (cap 8)"));
     }
 }

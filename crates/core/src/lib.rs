@@ -87,7 +87,7 @@ mod parallel;
 mod pipeline;
 mod representation;
 
-pub use cache::{CacheStats, EnergyTableCache, StatsSignature, TableSignature};
+pub use cache::{AccuracySignature, CacheStats, EnergyTableCache, StatsSignature, TableSignature};
 pub use encoding::{EncodedOperand, EncodedStream, Encoding};
 pub use error::CoreError;
 pub use evaluator::{

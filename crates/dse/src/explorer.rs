@@ -9,7 +9,10 @@
 //! statistics are keyed only by `(layer values, representation, reduction
 //! width)` — so designs that differ in ADC resolution, output-combining
 //! topology, or cell technology amortize the column-sum convolution across
-//! each other, and layers within a design share finished tables.
+//! each other, and layers within a design share finished tables. Under
+//! the sampled task-accuracy objective each design's Monte-Carlo score is
+//! kept in the cache too, so a sweep repeated against the same cache
+//! samples nothing again.
 //!
 //! Results stream into a [`ParetoFront`] as workers finish; only the
 //! non-dominated [`DesignReport`]s are retained, so sweeps of 10k+
@@ -40,7 +43,8 @@
 use std::sync::{Arc, Mutex};
 
 use cimloop_core::{
-    par_try_map, CoreError, EnergyTableCache, Evaluator, Representation, RunReport,
+    par_try_map, AccuracySignature, CoreError, EnergyTableCache, Evaluator, Representation,
+    RunReport,
 };
 use cimloop_macros::ArrayMacro;
 use cimloop_noise::SNR_CAP_DB;
@@ -81,7 +85,8 @@ pub enum AccuracyObjective {
     /// injection (`cimloop_sim::mc_workload`): the MAC-weighted fraction
     /// of column readouts landing on the ideal ADC code. Trades energy
     /// against real accuracy cliffs instead of the SNR proxy; costs one
-    /// fixed-seed sampling run per surviving design.
+    /// fixed-seed sampling run per surviving design, once per shared
+    /// cache.
     TaskAccuracy,
 }
 
@@ -546,9 +551,23 @@ impl Explorer {
         let run = evaluator.evaluate(workload, &rep, &self.cache, 1)?;
         let mut report = summarize(point, &evaluator, &run);
         if self.accuracy == AccuracyObjective::TaskAccuracy {
-            report.task_accuracy = Some(task_accuracy_of(point.cim_macro(), workload)?);
+            report.task_accuracy = Some(self.task_accuracy(point.cim_macro(), workload)?);
         }
         Ok(Some(report))
+    }
+
+    /// [`task_accuracy_of`] through the accuracy level of the shared
+    /// cache, keyed by the design's noise-inclusive configuration
+    /// fingerprint and the workload: explorers sharing a cache sample
+    /// each (design, workload) pair once. An ideal noise spec keeps the
+    /// exact `1.0` fast path and never touches the level.
+    fn task_accuracy(&self, m: &ArrayMacro, workload: &Workload) -> Result<f64, CoreError> {
+        if m.noise().is_ideal() {
+            return Ok(1.0);
+        }
+        let signature = AccuracySignature::new(m.config_fingerprint(true), workload);
+        self.cache
+            .accuracy_or_try_insert_with(signature, || task_accuracy_of(m, workload))
     }
 
     /// Builds the scoped evaluator and representation for one design.
@@ -579,8 +598,9 @@ pub const TASK_ACCURACY_TRIALS: u64 = 2048;
 /// engine's zero-sigma identity guarantees the sampled path would return
 /// the same bits, so the fast path is not an approximation.
 ///
-/// Shared by the explorer and by naive sweeps so the explorer == naive
-/// bit-identity property extends to this objective.
+/// The uncached reference: naive sweeps call it directly, and the
+/// explorer fills its cache's accuracy level with it, so the explorer ==
+/// naive bit-identity property extends to this objective.
 ///
 /// # Errors
 ///

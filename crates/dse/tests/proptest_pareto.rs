@@ -4,8 +4,13 @@
 //! cached/parallel explorer's front equals a naive sequential sweep
 //! without the cache.
 
-use cimloop_core::{EnergyTableCache, RunReport};
-use cimloop_dse::{summarize, AccuracyObjective, DesignSpace, Explorer, Objectives, ParetoFront};
+use std::sync::Arc;
+
+use cimloop_core::{EnergyTableCache, NoiseSpec, RunReport};
+use cimloop_dse::{
+    summarize, task_accuracy_of, AccuracyObjective, DesignReport, DesignSpace, Explorer,
+    Objectives, ParetoFront,
+};
 use cimloop_macros::base_macro;
 use cimloop_workload::{Layer, LayerKind, Shape, Workload};
 use proptest::prelude::*;
@@ -121,14 +126,23 @@ proptest! {
 
 /// The acceptance-criteria property at sweep scale: the front of an
 /// explorer sweep (shared cache, thread pool) equals the front of the
-/// same sweep evaluated sequentially without the cache.
+/// same sweep evaluated sequentially without the cache, under every
+/// accuracy objective. Under the sampled task-accuracy objective the
+/// explorer sweeps cold then warm against caches of every small capacity
+/// and an unbounded one, and the warm unbounded sweep samples nothing.
 #[test]
 fn explorer_front_equals_naive_sequential_front() {
+    // Two non-zero cell variations: every design samples, and each has
+    // a noise twin that differs from it in the sigma alone.
     let space = DesignSpace::new()
         .variant("base", base_macro().uncalibrated())
         .variant("adc6", base_macro().uncalibrated().with_adc_bits(6))
         .square_arrays([16, 32])
-        .dac_bits([1, 2]);
+        .dac_bits([1, 2])
+        .noise_specs([
+            NoiseSpec::new().with_cell_variation(0.1),
+            NoiseSpec::new().with_cell_variation(0.2),
+        ]);
     let net = Workload::new(
         "tiny",
         vec![
@@ -139,17 +153,12 @@ fn explorer_front_equals_naive_sequential_front() {
     )
     .unwrap();
 
-    // Both accuracy objectives (the noise-derived SNR default and the
-    // legacy ADC-coverage proxy) must reproduce the naive front.
-    for accuracy in [AccuracyObjective::OutputSnr, AccuracyObjective::AdcCoverage] {
-        let exploration = Explorer::new()
-            .with_accuracy(accuracy)
-            .with_threads(4)
-            .explore(&space, &net)
-            .expect("explorer sweep");
-
-        let mut naive = ParetoFront::new();
-        for point in space.designs() {
+    // The naive reports: uncached per-layer evaluation and the uncached
+    // task_accuracy_of, per design.
+    let naive_reports: Vec<(u64, DesignReport)> = space
+        .designs()
+        .iter()
+        .map(|point| {
             let evaluator = point.cim_macro().evaluator().expect("evaluator");
             let rep = point.cim_macro().representation();
             let layers = net
@@ -167,21 +176,81 @@ fn explorer_front_equals_naive_sequential_front() {
                     assert_eq!(cached.expect("cached"), run, "{state}, {threads} threads");
                 }
             }
-            let report = summarize(&point, &evaluator, &run);
-            naive.insert(point.id(), report.objectives_for(accuracy), report);
-        }
+            let mut report = summarize(point, &evaluator, &run);
+            report.task_accuracy =
+                Some(task_accuracy_of(point.cim_macro(), &net).expect("sampled"));
+            (point.id(), report)
+        })
+        .collect();
 
-        assert_eq!(exploration.front.len(), naive.len());
-        for (a, b) in exploration.front.members().iter().zip(naive.members()) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(
-                a.objectives, b.objectives,
-                "objectives diverged for {} under {accuracy:?}",
-                a.id
-            );
-            assert_eq!(a.value.energy_total, b.value.energy_total);
-            assert_eq!(a.value.latency, b.value.latency);
-            assert_eq!(a.value.area_mm2, b.value.area_mm2);
+    for accuracy in [
+        AccuracyObjective::OutputSnr,
+        AccuracyObjective::AdcCoverage,
+        AccuracyObjective::TaskAccuracy,
+    ] {
+        let sampled = accuracy == AccuracyObjective::TaskAccuracy;
+        let mut naive = ParetoFront::new();
+        for (id, report) in &naive_reports {
+            let mut report = report.clone();
+            if !sampled {
+                report.task_accuracy = None;
+            }
+            naive.insert(*id, report.objectives_for(accuracy), report);
+        }
+        let caches: Vec<EnergyTableCache> = if sampled {
+            (0..=3)
+                .map(|c| EnergyTableCache::bounded(c, c))
+                .chain([EnergyTableCache::new()])
+                .collect()
+        } else {
+            vec![EnergyTableCache::new()]
+        };
+        for cache in caches {
+            let explorer = Explorer::new()
+                .with_accuracy(accuracy)
+                .with_threads(4)
+                .with_cache(Arc::new(cache));
+            let capacity = explorer.cache().stats_snapshot().accuracy_capacity;
+            for state in ["cold", "warm"] {
+                let before = explorer.cache().stats_snapshot();
+                let exploration = explorer.explore(&space, &net).expect("explorer sweep");
+                let after = explorer.cache().stats_snapshot();
+                let context = format!("{accuracy:?}, capacity {capacity}, {state}");
+
+                assert_eq!(exploration.front.len(), naive.len(), "{context}");
+                for (a, b) in exploration.front.members().iter().zip(naive.members()) {
+                    assert_eq!(a.id, b.id, "{context}");
+                    assert_eq!(
+                        a.objectives, b.objectives,
+                        "objectives diverged for {} under {context}",
+                        a.id
+                    );
+                    assert_eq!(
+                        a.value.task_accuracy.map(f64::to_bits),
+                        b.value.task_accuracy.map(f64::to_bits),
+                        "task accuracy diverged for {} under {context}",
+                        a.id
+                    );
+                    assert_eq!(a.value.energy_total, b.value.energy_total);
+                    assert_eq!(a.value.latency, b.value.latency);
+                    assert_eq!(a.value.area_mm2, b.value.area_mm2);
+                }
+
+                let hits = after.accuracy_hits - before.accuracy_hits;
+                let misses = after.accuracy_misses - before.accuracy_misses;
+                let evaluated = exploration.evaluated as u64;
+                if !sampled {
+                    assert_eq!((hits, misses), (0, 0), "{context}");
+                } else if capacity == usize::MAX {
+                    let expected = match state {
+                        "cold" => (0, evaluated),
+                        _ => (evaluated, 0),
+                    };
+                    assert_eq!((hits, misses), expected, "{context}");
+                } else {
+                    assert_eq!(hits + misses, evaluated, "{context}");
+                }
+            }
         }
     }
 }
